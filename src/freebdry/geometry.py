@@ -77,42 +77,51 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
     return np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
 
 
-def _orient(a, b, c) -> float:
+def _orient(a, b, c):
+    """Orientation of the triangle abc; points may be arrays of points."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segments_cross(a, b, c, d, eps: float) -> bool:
-    """Crossing test for segments ab and cd; shared endpoints do not count,
-    collinear overlap of positive length does."""
+def _segments_cross(a, b, c, d, eps: float) -> np.ndarray:
+    """Crossing test for segments ab and cd, vectorized over segment pairs
+    given as coordinate rows (a[0] = x, a[1] = y); shared endpoints do not
+    count, collinear overlap of positive length does."""
     o1, o2 = _orient(a, b, c), _orient(a, b, d)
     o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if (o1 > eps and o2 < -eps or o1 < -eps and o2 > eps) and (
-        o3 > eps and o4 < -eps or o3 < -eps and o4 > eps
-    ):
-        return True
-    if max(abs(o1), abs(o2), abs(o3), abs(o4)) <= eps:
-        lox = max(min(a[0], b[0]), min(c[0], d[0]))
-        hix = min(max(a[0], b[0]), max(c[0], d[0]))
-        loy = max(min(a[1], b[1]), min(c[1], d[1]))
-        hiy = min(max(a[1], b[1]), max(c[1], d[1]))
-        seps = math.sqrt(eps)
-        return hix - lox > seps or hiy - loy > seps
-    return False
+    proper = ((o1 > eps) & (o2 < -eps) | (o1 < -eps) & (o2 > eps)) & (
+        (o3 > eps) & (o4 < -eps) | (o3 < -eps) & (o4 > eps)
+    )
+    collinear = np.maximum(np.maximum(abs(o1), abs(o2)), np.maximum(abs(o3), abs(o4))) <= eps
+    lox = np.maximum(np.minimum(a[0], b[0]), np.minimum(c[0], d[0]))
+    hix = np.minimum(np.maximum(a[0], b[0]), np.maximum(c[0], d[0]))
+    loy = np.maximum(np.minimum(a[1], b[1]), np.minimum(c[1], d[1]))
+    hiy = np.minimum(np.maximum(a[1], b[1]), np.maximum(c[1], d[1]))
+    seps = math.sqrt(eps)
+    return proper | collinear & ((hix - lox > seps) | (hiy - loy > seps))
+
+
+# edge pairs tested together by _check_simple; bounds its working set
+_EDGE_PAIR_BLOCK = 1 << 14
 
 
 def _check_simple(pts: np.ndarray, scale: float) -> None:
+    """Raise for the first pair (i, j), i < j, of non-adjacent edges that
+    cross, in row-major order; edge i joins vertex i to vertex i + 1."""
     m = len(pts)
     eps = 1e-12 * scale * scale
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            c, d = pts[j], pts[(j + 1) % m]
-            if _segments_cross(a, b, c, d, eps):
-                raise DomainValidationError(
-                    f"polygon is not simple: edges {i} and {j} intersect"
-                )
+    start, end = pts.T, np.roll(pts, -1, axis=0).T
+    rows = max(1, _EDGE_PAIR_BLOCK // m)
+    for i0 in range(0, m, rows):
+        i, j = np.nonzero(np.triu(np.ones((min(rows, m - i0), m), dtype=bool), k=i0 + 2))
+        i += i0
+        keep = (i > 0) | (j < m - 1)  # edges 0 and m - 1 meet at vertex 0
+        i, j = i[keep], j[keep]
+        hit = np.flatnonzero(_segments_cross(start[:, i], end[:, i], start[:, j], end[:, j], eps))
+        if hit.size:
+            k = hit[0]
+            raise DomainValidationError(
+                f"polygon is not simple: edges {i[k]} and {j[k]} intersect"
+            )
 
 
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:

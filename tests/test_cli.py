@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,17 @@ def test_rearrange_quick(tmp_path):
                     "--p", "1.5", "--seed", "2", "--quiet", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["failures"] == []
+
+
+def test_rearrange_report_matches_golden(tmp_path):
+    # the report of the per-level marching squares that preceded the batched
+    # pass; the same method must reproduce it byte for byte
+    golden = Path(__file__).parent / "data" / "rearrange_halfdisk_h48_seed0.json"
+    out = tmp_path / "re.json"
+    code = run_cli(["rearrange", "--domain", "halfdisk", "--h", str(1 / 48), "--p", "1.5",
+                    "--p", "2", "--p", "3", "--seed", "0", "--quiet", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_unknown_flag_exits_2():

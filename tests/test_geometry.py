@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from freebdry import domains
+from freebdry import domains, geometry
 from freebdry.errors import DegenerateCutError, DomainValidationError
 from freebdry.geometry import (
     FIXED,
     FREE,
     CutLine,
     LabeledDomain,
+    _check_simple,
     area,
     boundary_length,
     equal_volume_cut,
@@ -43,6 +44,91 @@ def test_self_intersecting_polygon_rejected():
     bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
     with pytest.raises(DomainValidationError):
         LabeledDomain(bowtie, [FIXED] * 4)
+
+
+def _reference_check_simple(pts, scale):
+    """The pairwise loop the vectorized simplicity check replaced."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def cross(a, b, c, d, eps):
+        o1, o2 = orient(a, b, c), orient(a, b, d)
+        o3, o4 = orient(c, d, a), orient(c, d, b)
+        if (o1 > eps and o2 < -eps or o1 < -eps and o2 > eps) and (
+            o3 > eps and o4 < -eps or o3 < -eps and o4 > eps
+        ):
+            return True
+        if max(abs(o1), abs(o2), abs(o3), abs(o4)) <= eps:
+            lox = max(min(a[0], b[0]), min(c[0], d[0]))
+            hix = min(max(a[0], b[0]), max(c[0], d[0]))
+            loy = max(min(a[1], b[1]), min(c[1], d[1]))
+            hiy = min(max(a[1], b[1]), max(c[1], d[1]))
+            seps = math.sqrt(eps)
+            return hix - lox > seps or hiy - loy > seps
+        return False
+
+    m = len(pts)
+    eps = 1e-12 * scale * scale
+    for i in range(m):
+        a, b = pts[i], pts[(i + 1) % m]
+        for j in range(i + 1, m):
+            if j == i or (j + 1) % m == i or (i + 1) % m == j:
+                continue
+            if cross(a, b, pts[j], pts[(j + 1) % m], eps):
+                raise DomainValidationError(
+                    f"polygon is not simple: edges {i} and {j} intersect"
+                )
+
+
+def _simplicity_verdict(check, pts):
+    try:
+        check(pts, float(np.max(np.ptp(pts, axis=0))))
+    except DomainValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_vectorized_simplicity_check_matches_loop():
+    rng = np.random.default_rng(77)
+    slot = np.array([(0, 0), (3, 0), (3, 2), (2, 2), (2, 0), (1, 0), (1, 2), (0, 2)], float)
+    polygons = [
+        slot,           # a slot whose floor retraces the bottom edge
+        slot[::-1, ::-1],   # the same overlap on a vertical edge
+        # the last edge folds back along edge 0: adjacent, so not tested
+        np.array([(3, 0), (0, 0), (0, 2), (1, 2), (1, 0)], float),
+        np.array([(0, 0), (1, 1), (1, 0), (0, 1)], float),   # bow tie
+        domains.disk(segments=128).vertices,
+    ]
+    for m in (3, 5, 12, 40, 150):
+        ang = np.sort(rng.uniform(0, 2 * np.pi, m))
+        r = rng.uniform(0.5, 1.5, m)
+        star = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        polygons += [star, star[rng.permutation(m)]]      # simple, then scrambled
+        polygons.append(rng.integers(0, 4, size=(m, 2)).astype(float))  # lattice
+        polygons.append(rng.integers(0, 4, size=(m, 2)) + rng.normal(0, 1e-7, (m, 2)))
+    verdicts = []
+    for pts in polygons:
+        got = _simplicity_verdict(_check_simple, pts)
+        assert got == _simplicity_verdict(_reference_check_simple, pts)
+        verdicts.append(got)
+    assert verdicts[0] == "polygon is not simple: edges 0 and 4 intersect"
+    assert verdicts[1] == "polygon is not simple: edges 2 and 6 intersect"
+    assert verdicts[2] is None
+    assert verdicts.count(None) >= 6
+    assert sum(v is not None for v in verdicts) >= 12
+
+
+def test_simplicity_check_in_blocks_reports_first_pair(monkeypatch):
+    # a 60-gon with two crossings, checked a few edge rows at a time
+    t = np.linspace(0, 2 * np.pi, 60, endpoint=False)
+    pts = np.column_stack([np.cos(t), np.sin(t)])
+    pts[[10, 11]] = pts[[11, 10]]
+    pts[[40, 41]] = pts[[41, 40]]
+    want = _simplicity_verdict(_reference_check_simple, pts)
+    assert want == "polygon is not simple: edges 9 and 11 intersect"
+    monkeypatch.setattr(geometry, "_EDGE_PAIR_BLOCK", 3 * 60)
+    assert _simplicity_verdict(_check_simple, pts) == want
 
 
 def test_degenerate_polygon_rejected():

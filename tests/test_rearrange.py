@@ -212,9 +212,8 @@ def test_slope_coarea_refinement(disk_domain, disk_cone_128):
 
 def test_slope_coarea_constant_field_empty(square_domain):
     f = ScalarField.from_function(square_domain, 1.0 / 32, lambda X, Y: np.ones_like(X))
-    rep = check_slope_coarea_identity(f)
-    assert rep.levels_used == 0
-    assert rep.max_rel_dev == 0.0
+    with pytest.raises(PreconditionError, match="no usable level"):
+        check_slope_coarea_identity(f)
 
 
 # -- flux lower bound ------------------------------------------------------------------
@@ -255,9 +254,8 @@ def test_profile_energy_paraboloid_equality(disk_paraboloid_128):
 
 def test_profile_energy_constant_field(square_domain):
     f = ScalarField.from_function(square_domain, 1.0 / 32, lambda X, Y: np.zeros_like(X))
-    lhs, rhs = check_profile_energy_bound(f, 2.0)
-    assert lhs == 0.0
-    assert rhs == 0.0
+    with pytest.raises(PreconditionError, match="2 usable levels, found 0"):
+        check_profile_energy_bound(f, 2.0)
 
 
 def test_profile_energy_random_fields():
