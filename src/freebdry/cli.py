@@ -16,6 +16,7 @@ Plot-ready CSV series (one file per ladder) land in the directory given by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,7 +334,10 @@ def cmd_eig(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every caller gets the
+    same object and must not modify it (``parse_args`` does not)."""
     parser = argparse.ArgumentParser(
         prog="freebdry",
         description="Verification campaigns for sharp inequalities on domains "
@@ -425,7 +429,7 @@ def main(argv=None) -> int:
     if args.command in _DEFAULT_LISTS:
         name, default = _DEFAULT_LISTS[args.command]
         if getattr(args, name, None) is None:
-            setattr(args, name, default)
+            setattr(args, name, list(default))
     try:
         return args.func(args)
     except (PreconditionError,) as exc:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainValidationError
-from .geometry import FIXED, FREE, LabeledDomain
+from .geometry import FIXED, FREE, LabeledDomain, _edge_lengths, _signed_area
 
 DEFAULT_SEGMENTS = 64
 
@@ -153,14 +153,13 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _cumulative(loop: np.ndarray) -> np.ndarray:
+def _cumulative(loop: np.ndarray) -> list[float]:
     """cum[k] = boundary arc-length coordinate of vertex k; cum[m] = total."""
-    seg = np.hypot(*(np.roll(loop, -1, axis=0) - loop).T)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    return [0.0, *np.cumsum(_edge_lengths(loop)).tolist()]
 
 
 def _chain_between(loop: np.ndarray, s_from: float, s_to: float,
-                   cum: np.ndarray) -> list[np.ndarray]:
+                   cum: list[float]) -> list[np.ndarray]:
     """Vertices of the loop strictly between two boundary coordinates,
     walking in loop (CCW) order and wrapping around if needed."""
     total = cum[-1]
@@ -175,28 +174,33 @@ def _chain_between(loop: np.ndarray, s_from: float, s_to: float,
     return [p for _, p in out]
 
 
+def _edges(loop: list) -> list:
+    """(start, end) vertex pairs of a closed loop given as a list of points."""
+    return list(zip(loop, loop[1:] + loop[:1]))
+
+
 def _loop_intersections(poly: np.ndarray, bite: np.ndarray):
     """Proper crossings between two closed loops with the boundary coordinate
     of each crossing on both loops."""
     cum_p, cum_b = _cumulative(poly), _cumulative(bite)
+    poly_edges = _edges(poly.tolist())
+    bite_edges = _edges(bite.tolist())
     hits = []
-    m, k = len(poly), len(bite)
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        for j in range(k):
-            c, d = bite[j], bite[(j + 1) % k]
-            r, s = b - a, d - c
-            denom = r[0] * s[1] - r[1] * s[0]
+    for i, ((ax, ay), (bx, by)) in enumerate(poly_edges):
+        rx, ry = bx - ax, by - ay
+        for j, ((cx, cy), (dx, dy)) in enumerate(bite_edges):
+            sx, sy = dx - cx, dy - cy
+            denom = rx * sy - ry * sx
             if abs(denom) < 1e-14:
                 continue
-            q = c - a
-            t = (q[0] * s[1] - q[1] * s[0]) / denom
-            u = (q[0] * r[1] - q[1] * r[0]) / denom
+            qx, qy = cx - ax, cy - ay
+            t = (qx * sy - qy * sx) / denom
+            u = (qx * ry - qy * rx) / denom
             if 1e-9 < t < 1.0 - 1e-9 and 1e-9 < u < 1.0 - 1e-9:
                 hits.append({
                     "s_poly": cum_p[i] + t * (cum_p[i + 1] - cum_p[i]),
                     "s_bite": cum_b[j] + u * (cum_b[j + 1] - cum_b[j]),
-                    "point": a + t * r,
+                    "point": np.array([ax + t * rx, ay + t * ry]),
                 })
     return hits
 
@@ -250,22 +254,16 @@ def _carve_bite(poly: np.ndarray, bite: np.ndarray) -> LabeledDomain | None:
         dom = LabeledDomain(verts, labels)
     except DomainValidationError:
         return None
-    if not 0.0 < dom.area < abs(_poly_area(poly)):
+    if not 0.0 < dom.area < abs(_signed_area(poly)):
         return None
     return dom
 
 
-def _poly_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _point_in_convex(poly: np.ndarray, p) -> bool:
-    m = len(poly)
+    px, py = float(p[0]), float(p[1])
     sign = 0
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    for (ax, ay), (bx, by) in _edges(poly.tolist()):
+        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         if abs(cr) < 1e-12:
             continue
         s = 1 if cr > 0 else -1

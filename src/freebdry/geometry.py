@@ -65,16 +65,23 @@ def _as_points(vertices) -> np.ndarray:
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainValidationError("vertices must be an (m, 2) array of points")
+    if not np.isfinite(pts).all():
+        raise DomainValidationError("vertex coordinates must be finite")
     return pts
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """Rows shifted by one, cyclically: row k of the result is row k + 1."""
+    return np.concatenate((a[1:], a[:1]))
 
 
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def _edge_lengths(pts: np.ndarray) -> np.ndarray:
-    return np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
+    return np.hypot(*(_next(pts) - pts).T)
 
 
 def _orient(a, b, c):
@@ -109,7 +116,7 @@ def _check_simple(pts: np.ndarray, scale: float) -> None:
     cross, in row-major order; edge i joins vertex i to vertex i + 1."""
     m = len(pts)
     eps = 1e-12 * scale * scale
-    start, end = pts.T, np.roll(pts, -1, axis=0).T
+    start, end = pts.T, _next(pts).T
     rows = max(1, _EDGE_PAIR_BLOCK // m)
     for i0 in range(0, m, rows):
         i, j = np.nonzero(np.triu(np.ones((min(rows, m - i0), m), dtype=bool), k=i0 + 2))
@@ -129,7 +136,7 @@ def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     px, py = points[:, 0], points[:, 1]
     inside = np.zeros(len(points), dtype=bool)
     x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x2, y2 = _next(x1), _next(y1)
     for k in range(len(poly)):
         cond = (y1[k] > py) != (y2[k] > py)
         if not cond.any():
@@ -526,49 +533,61 @@ def reflect(domain: LabeledDomain, line: CutLine) -> LabeledDomain:
 
 # -- area on one side of a line (Sutherland-Hodgman, used for bisection) -------
 
-def _clipped_area_above(loop: np.ndarray, normal: np.ndarray, offset: float) -> float:
-    d = loop @ normal - offset
+def _projected(loop: np.ndarray, normal: np.ndarray) -> tuple[list, ...]:
+    """A loop as float lists for the clipping loop: x, y, the next vertex's
+    x and y, and the projections ``loop @ normal``."""
+    x, y = loop[:, 0].tolist(), loop[:, 1].tolist()
+    return x, y, x[1:] + x[:1], y[1:] + y[:1], (loop @ normal).tolist()
+
+
+def _clipped_area_above(projected: tuple[list, ...], offset: float) -> float:
+    """Area of the part of one projected loop where ``n . x >= offset``."""
+    x, y, x_next, y_next, proj = projected
+    d = [q - offset for q in proj]
     out_x, out_y = [], []
-    m = len(loop)
-    for i in range(m):
-        j = (i + 1) % m
-        di, dj = d[i], d[j]
+    for xi, yi, xj, yj, di, dj in zip(x, y, x_next, y_next, d, d[1:] + d[:1]):
         if di >= 0.0:
-            out_x.append(loop[i, 0])
-            out_y.append(loop[i, 1])
+            out_x.append(xi)
+            out_y.append(yi)
         if (di > 0.0) != (dj > 0.0) and di != dj:
             t = di / (di - dj)
-            out_x.append(loop[i, 0] + t * (loop[j, 0] - loop[i, 0]))
-            out_y.append(loop[i, 1] + t * (loop[j, 1] - loop[i, 1]))
+            out_x.append(xi + t * (xj - xi))
+            out_y.append(yi + t * (yj - yi))
     if len(out_x) < 3:
         return 0.0
-    x = np.array(out_x)
-    y = np.array(out_y)
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return _signed_area(np.array((out_x, out_y)).T)
+
+
+def _loops_area_above(loops: Sequence[tuple[list, ...]], offset: float) -> float:
+    outer, *holes = loops
+    a = _clipped_area_above(outer, offset)
+    for h in holes:
+        a -= _clipped_area_above(h, offset)
+    return a
 
 
 def _area_above(domain: LabeledDomain, normal: np.ndarray, offset: float) -> float:
-    a = _clipped_area_above(domain.vertices, normal, offset)
-    for h in domain.holes:
-        a -= _clipped_area_above(h, normal, offset)
-    return a
+    return _loops_area_above([_projected(loop, normal) for loop in domain._loops()], offset)
 
 
 def equal_volume_cut(domain: LabeledDomain, theta: float) -> CutLine:
     """Offset of the line at angle ``theta`` splitting the domain into two
     equal areas, found by bisection on the monotone area split function.
 
-    The returned cut satisfies |A_above - A_below| <= 1e-9 * area.
+    The vertex projections onto the line's normal are computed once per cut;
+    each bisection step clips the projected loops at its offset.  The
+    returned cut satisfies |A_above - A_below| <= 1e-9 * area.
     """
     normal = np.array([-math.sin(theta), math.cos(theta)])
-    proj = np.concatenate([domain.vertices @ normal] + [h @ normal for h in domain.holes])
+    loops = [_projected(loop, normal) for loop in domain._loops()]
+    proj = np.concatenate([p[-1] for p in loops])
     lo, hi = float(proj.min()), float(proj.max())
     A = domain.area
     target = 0.5 * A
     # area above is A at offset lo and 0 at offset hi, decreasing in between
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = _area_above(domain, normal, mid) - target
+        fmid = _loops_area_above(loops, mid) - target
         if abs(fmid) <= 2.5e-10 * A:
             return CutLine(angle=theta, offset=mid)
         if fmid > 0.0:

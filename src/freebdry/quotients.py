@@ -27,6 +27,7 @@ from .geometry import (
     FIXED,
     FREE,
     LabeledDomain,
+    _signed_area,
     is_concave_free_boundary,
     rasterize,
 )
@@ -269,10 +270,7 @@ def counterexample_domain(spec: CounterexampleSpec, segments: int = 64,
     # the sampled parabola starts and ends at (-w, top) and (w, top), so the
     # polyline closes along the chord by itself; its shoelace area is the
     # sampled region below the chord (slightly under the analytic 4/3)
-    x_c, y_c = parab[:, 0], parab[:, 1]
-    base_area = abs(
-        0.5 * float(np.sum(x_c * np.roll(y_c, -1) - np.roll(x_c, -1) * y_c))
-    )
+    base_area = abs(_signed_area(parab))
 
     if target_area <= base_area + 1e-12:
         raise PreconditionError(

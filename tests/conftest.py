@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,13 @@ import pytest
 from freebdry import domains
 from freebdry.geometry import rasterize
 from freebdry.rearrange import ScalarField
+
+# interpreters the tests start (``python -m freebdry.cli``) import the same
+# checkout as the tests themselves
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def cone(X, Y):

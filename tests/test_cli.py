@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from freebdry.cli import main
+from freebdry.cli import build_parser, main
 
 
 def run_cli(args):
@@ -127,6 +127,64 @@ def test_rearrange_report_matches_golden(tmp_path):
                     "--p", "2", "--p", "3", "--seed", "0", "--quiet", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("symmetrize_trapezoid_steps50.json", ["symmetrize", "--domain", "trapezoid", "--steps", "50"]),
+    ("isoperim_random50_seed3.json", ["isoperim", "--random", "50", "--seed", "3"]),
+])
+def test_polygon_report_matches_golden(tmp_path, name, argv):
+    # reports of the numpy-scalar equal-area cut and random-domain generator
+    # that preceded the float-list loops; the same arithmetic must reproduce
+    # them byte for byte
+    golden = Path(__file__).parent / "data" / name
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def _fresh_reports(calls, tmp_path):
+    """Report bytes of each invocation, each in a fresh interpreter."""
+    outs = [tmp_path / f"fresh{k}.json" for k in range(len(calls))]
+    procs = [subprocess.Popen([sys.executable, "-m", "freebdry.cli", *argv,
+                               "--quiet", "--out", str(out)])
+             for argv, out in zip(calls, outs)]
+    assert [proc.wait() for proc in procs] == [0] * len(calls)
+    return [out.read_bytes() for out in outs]
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ["rearrange", "--h", "0.0625", "--p", "3"],
+        ["rearrange", "--h", "0.0625"],
+        ["sobolev", "--h", "0.0625", "--epsilon", "0.2"],
+        ["sobolev", "--h", "0.0625"],
+    ]
+    reports = []
+    for k, argv in enumerate(calls):
+        out = tmp_path / f"call{k}.json"
+        assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    # a call that argparse rejects after it has appended a --p, then a good one
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rearrange", "--h", "0.0625", "--p", "2", "--bogus"])
+    assert exc.value.code == 2
+    out = tmp_path / "after_error.json"
+    assert run_cli(calls[1] + ["--quiet", "--out", str(out)]) == 0
+    after_error = out.read_bytes()
+
+    assert reports[0] != reports[1] and reports[2] != reports[3]
+    assert reports == _fresh_reports(calls, tmp_path)
+    assert after_error == reports[1]
+
+
+def test_non_finite_domain_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"vertices": [[0, 0], [1, 0], [NaN, 1]], '
+                   '"labels": ["fixed", "fixed", "fixed"]}')
+    assert run_cli(["isoperim", "--domain", str(bad), "--quiet"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -149,6 +149,15 @@ def test_hole_outside_rejected():
         LabeledDomain(pts, [FIXED] * 4, holes=[hole])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_rejected(bad):
+    with pytest.raises(DomainValidationError, match="finite"):
+        LabeledDomain([(0, 0), (1, 0), (bad, 1)], [FIXED] * 3)
+    with pytest.raises(DomainValidationError, match="finite"):
+        LabeledDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [FIXED] * 4,
+                      holes=[[(1, 1), (2, 1), (2, bad)]])
+
+
 # -- area and lengths -------------------------------------------------------
 
 def test_area_unit_square(square_domain):
