@@ -146,6 +146,34 @@ def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _grid_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd membership of the grid points (xs[j], ys[i]) as an (ny, nx)
+    mask; ``xs`` and ``ys`` ascend.
+
+    The same test as ``_points_in_polygon``, arranged by rows: each edge's
+    crossing abscissa ``xi`` is computed once per row it straddles, and the
+    points left of it (``xs[j] < xi``) are the first ``searchsorted`` columns.
+    A crossing adds 1 at column 0 and takes 1 off at that column, so a row's
+    cumulative sum counts the crossings right of each point.
+    """
+    ny, nx = len(ys), len(xs)
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = _next(x1), _next(y1)
+    # rows with min(y1, y2) <= y < max(y1, y2): (y1 > y) != (y2 > y)
+    r0 = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    counts = np.searchsorted(ys, np.maximum(y1, y2), side="left") - r0
+    edge = np.repeat(np.arange(len(poly)), counts)
+    row = np.arange(len(edge)) + np.repeat(r0 - (np.cumsum(counts) - counts), counts)
+    py = ys[row]
+    x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
+    xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    col = np.searchsorted(xs, xi, side="left")
+    start = row * (nx + 1)
+    marks = np.bincount(start, minlength=ny * (nx + 1)) - np.bincount(
+        start + col, minlength=ny * (nx + 1))
+    return (np.cumsum(marks.reshape(ny, nx + 1)[:, :nx], axis=1) & 1).astype(bool)
+
+
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = b - a
     denom = float(ab @ ab)
@@ -891,9 +919,9 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
 
     xs = ox + (np.arange(nx) + 0.5) * h
     ys = oy + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    mask = domain.contains(pts).reshape(ny, nx)
+    mask = _grid_in_polygon(xs, ys, domain.vertices)
+    for hole in domain.holes:
+        mask &= ~_grid_in_polygon(xs, ys, hole)
     if not mask.any():
         raise DomainValidationError("rasterization produced no interior cells")
 

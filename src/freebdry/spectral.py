@@ -28,6 +28,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DomainValidationError, PreconditionError
 from .geometry import (
+    _DIRS,
     FACE_FIXED,
     LabeledDomain,
     RasterGrid,
@@ -50,10 +51,7 @@ __all__ = [
     "half_ball_reference",
     "check_frequency_vs_half_ball",
     "eigen_scalar_field",
-    "save_matrix_coo",
 ]
-
-_DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # E, W, N, S
 
 
 @dataclass
@@ -130,15 +128,18 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
 
     The operator is factorized once (sparse LU) and each iteration applies
     the inverse; the Rayleigh quotient is monitored until its relative change
-    drops below ``tol``.  Requires at least one fixed face, which makes the
-    operator positive definite.  Returns (eigenvalue, eigenvector, iterations).
+    drops below ``tol``.  The operator is symmetric and diagonally dominant,
+    so the factor takes a symmetric fill-reducing ordering (minimum degree on
+    A^T + A) and pivots on the diagonal.  Requires at least one fixed face,
+    which makes the operator positive definite.  Returns (eigenvalue,
+    eigenvector, iterations).
     """
     if not problem.has_fixed_face():
         raise PreconditionError(
             "operator is singular without any fixed boundary face"
         )
     A = problem.matrix.tocsc()
-    lu = splu(A)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.5, 1.5, problem.size)
     x /= np.linalg.norm(x)
@@ -166,34 +167,19 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
 # disk reference through the first Bessel zero
 # ---------------------------------------------------------------------------
 
-def bessel_j0(x: float) -> float:
-    """Series evaluation of J0; accurate to machine precision for |x| <= 4."""
-    z = -0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for m in range(1, 40):
-        term *= z / (m * m)
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
-            break
-    return total
+def bessel_j0(x):
+    """J0, from ``scipy.special`` (imported on first use, not with the package)."""
+    from scipy.special import j0
+
+    return j0(x)
 
 
 @lru_cache(maxsize=1)
 def first_bessel_zero() -> float:
-    """First positive zero of J0, by bisection on [2, 3] to 1e-13."""
-    lo, hi = 2.0, 3.0
-    flo = bessel_j0(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j0(mid)
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    """First positive zero of J0, from ``scipy.special``."""
+    from scipy.special import jn_zeros
+
+    return float(jn_zeros(0, 1)[0])
 
 
 def half_ball_reference(volume: float) -> float:
@@ -264,12 +250,3 @@ def eigen_scalar_field(problem: SpectralProblem, vector: np.ndarray) -> ScalarFi
         vals = -vals
     vals = np.clip(vals, 0.0, None)
     return ScalarField(problem.grid, vals)
-
-
-def save_matrix_coo(problem: SpectralProblem, path) -> None:
-    """Text dump 'row col value' per line, sorted by (row, col)."""
-    coo = problem.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{int(coo.row[k])} {int(coo.col[k])} {float(coo.data[k])!r}\n")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 from scipy.special import j0 as scipy_j0, jn_zeros
 
-from freebdry import domains
+from freebdry import domains, spectral
 from freebdry.errors import ConvergenceError, PreconditionError
 from freebdry.geometry import FACE_FIXED, rasterize
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
@@ -18,7 +19,6 @@ from freebdry.spectral import (
     half_ball_reference,
     principal_frequency,
     quadratic_form,
-    save_matrix_coo,
 )
 
 
@@ -235,16 +235,37 @@ def test_convergence_budget(square_problem):
         principal_frequency(square_problem, tol=1e-16, max_iter=2)
 
 
-def test_matrix_dump_round_trip(tmp_path, square_free_problem):
-    path = tmp_path / "matrix.txt"
-    save_matrix_coo(square_free_problem, path)
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            r, c, v = line.split()
-            rows.append((int(r), int(c), float(v)))
-    A = square_free_problem.matrix.tocoo()
-    assert len(rows) == A.nnz
-    dense = square_free_problem.matrix.toarray()
-    for r, c, v in rows[:50]:
-        assert dense[r, c] == pytest.approx(v, rel=1e-15)
+
+# -- factorization --------------------------------------------------------------
+
+# (lambda, iterations) at h = 1/64 from the COLAMD-ordered factor
+_EIG_H64 = {
+    "halfdisk": (5.782294610595876, 7),
+    "square-bottom-free": (12.334900019756024, 10),
+    "lshape": (9.629857929721721, 13),
+    "trapezoid": (3.689463507075798, 9),
+    "annulus": (35.64882461001797, 19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EIG_H64))
+def test_eigenvalue_regression_h64(name):
+    lam_ref, iters_ref = _EIG_H64[name]
+    lam, _, iters = principal_frequency(assemble(domains.builtin_domain(name), 1.0 / 64))
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+    assert iters == iters_ref
+
+
+def test_factor_fill_below_colamd(monkeypatch):
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spectral, "splu", recording_splu)
+    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
+    principal_frequency(problem)
+    (lu,) = factors
+    colamd = splu(problem.matrix.tocsc())
+    assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
