@@ -220,8 +220,12 @@ def cmd_sobolev(args) -> int:
     failures = []
     ladder = []
     base = None
+    # one grid for every field, built by the first one so that the input
+    # checks made before rasterizing still decide the exit code
+    grid = None
     for eps in args.epsilon:
-        bubble = talenti_bubble(dom, args.h, args.p, eps)
+        bubble = talenti_bubble(dom, args.h, args.p, eps, grid=grid)
+        grid = bubble.grid
         rep = sobolev_report(bubble, args.p)
         ladder.append({
             "epsilon": eps,
@@ -235,7 +239,8 @@ def cmd_sobolev(args) -> int:
     rng = np.random.default_rng(args.seed)
     randoms = []
     for k in range(args.random):
-        field = random_admissible_field(dom, args.h, rng)
+        field = random_admissible_field(dom, args.h, rng, grid=grid)
+        grid = field.grid
         rep = sobolev_report(field, args.p)
         randoms.append({"index": k, "quotient": rep.quotient, "margin": rep.margin})
         if rep.quotient < rep.bound * (1.0 - args.tol):
@@ -261,8 +266,10 @@ def cmd_moser(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
     entries = []
+    grid = None  # one grid for every field, built by the first one
     for k in range(args.random):
-        field = normalize_energy(random_admissible_field(dom, args.h, rng))
+        field = normalize_energy(random_admissible_field(dom, args.h, rng, grid=grid))
+        grid = field.grid
         rep = moser_report(field)
         ok = rep.identity_gap <= args.tol and rep.functional >= rep.area
         entries.append({

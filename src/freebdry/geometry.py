@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .constants import isoperimetric_constants
-from .errors import DegenerateCutError, DomainValidationError, PreconditionError
+from .errors import DegenerateCutError, DomainValidationError
 
 FIXED = "fixed"
 FREE = "free"
@@ -62,7 +63,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _as_points(vertices) -> np.ndarray:
-    pts = np.asarray(vertices, dtype=float)
+    pts = np.array(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainValidationError("vertices must be an (m, 2) array of points")
     if not np.isfinite(pts).all():
@@ -240,9 +241,14 @@ class LabeledDomain:
     Vertices are stored counterclockwise; edge i joins vertex i to vertex
     i + 1 (cyclically) and carries ``labels[i]``.  The free edges, wherever
     they live, must form a single connected chain.
+
+    A domain is immutable: ``vertices`` and every array in ``holes`` are
+    read-only copies of the input.  So the report of
+    :func:`is_concave_free_boundary` is computed on its first call and kept
+    on the domain for every later call.
     """
 
-    __slots__ = ("vertices", "labels", "holes", "hole_labels")
+    __slots__ = ("vertices", "labels", "holes", "hole_labels", "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
         pts = _as_points(vertices)
@@ -289,10 +295,13 @@ class LabeledDomain:
             hole_list.append(h)
             hole_label_list.append(tuple(hlabs))
 
+        for loop in (pts, *hole_list):
+            loop.setflags(write=False)
         self.vertices = pts
         self.labels = tuple(labels)
         self.holes = tuple(hole_list)
         self.hole_labels = tuple(hole_label_list)
+        self._concavity = None
         self._check_free_chain()
 
     # -- structural checks ----------------------------------------------------
@@ -501,20 +510,28 @@ def boundary_length(domain: LabeledDomain, label: str | None = None) -> float:
     return domain.boundary_length(label)
 
 
-def is_concave_free_boundary(domain: LabeledDomain, samples: int = 64) -> ConcavityReport:
+_CONCAVITY_SAMPLES = 64
+
+
+def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     """Check that every chord between two free-boundary points avoids the
     interior.
 
-    The free chain is sampled at ``samples`` arc-length-uniform points; for
-    each point pair the chord is probed at its midpoint and quarter points.
-    A probe counts as interior only if it lies inside the domain with
-    positive clearance from the boundary, so chords running along a straight
-    free edge do not produce false negatives.  Returns a witness pair on
-    failure; an empty free chain is vacuously concave.
+    The free chain is sampled at 64 arc-length-uniform points; for each
+    point pair the chord is probed at its midpoint and quarter points.  A
+    probe counts as interior only if it lies inside the domain with positive
+    clearance from the boundary, so chords running along a straight free
+    edge do not produce false negatives.  Returns a witness pair on failure;
+    an empty free chain is vacuously concave.  The report is computed once
+    per domain and kept on it.
     """
-    if samples < 2:
-        raise PreconditionError("need at least 2 samples on the free chain")
-    pts = domain.free_chain_points(samples)
+    if domain._concavity is None:
+        domain._concavity = _sampled_concavity(domain)
+    return domain._concavity
+
+
+def _sampled_concavity(domain: LabeledDomain) -> ConcavityReport:
+    pts = domain.free_chain_points(_CONCAVITY_SAMPLES)
     if len(pts) == 0:
         return ConcavityReport(concave=True, vacuous=True)
     tol = 1e-9 * max(domain.diameter, 1e-30)
@@ -863,7 +880,7 @@ _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # E, W, N, S as (di, dj) offsets
 FACE_NONE, FACE_FIXED, FACE_FREE = 0, 1, 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RasterGrid:
     """Cell-centered rasterization of a labeled domain.
 
@@ -871,6 +888,13 @@ class RasterGrid:
     domain; ``face_labels[i, j, d]`` tags the four faces of each inside cell
     (order E, W, N, S) as interior (0), fixed (1), or free (2) according to
     the nearest boundary edge.
+
+    A grid is immutable: its fields cannot be reassigned and ``mask`` and
+    ``face_labels`` are read-only.  So the quantities that depend on the
+    grid alone are computed on first use and kept on it: the distance from
+    every cell center to the fixed edges (``fixed_distance``), the largest
+    distance from an inside cell center to the boundary (``inradius``), and
+    the rasterized disk of the same area (``equal_area_disk``).
     """
 
     domain: LabeledDomain
@@ -878,6 +902,10 @@ class RasterGrid:
     origin: tuple[float, float]
     mask: np.ndarray
     face_labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.mask.setflags(write=False)
+        self.face_labels.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -895,6 +923,31 @@ class RasterGrid:
 
     def area(self) -> float:
         return float(self.mask.sum()) * self.cell_area
+
+    @cached_property
+    def fixed_distance(self) -> np.ndarray:
+        """Distance from each cell center, inside or not, to the nearest
+        fixed edge (inf without fixed edges), in the grid's shape."""
+        X, Y = self.cell_centers()
+        dist = self.domain.distance_to_label(np.column_stack([X.ravel(), Y.ravel()]), FIXED)
+        dist = dist.reshape(X.shape)
+        dist.setflags(write=False)
+        return dist
+
+    @cached_property
+    def inradius(self) -> float:
+        """The largest distance from an inside cell center to the boundary."""
+        X, Y = self.cell_centers()
+        return float(self.domain.boundary_distance(
+            np.column_stack([X[self.mask], Y[self.mask]])).max())
+
+    @cached_property
+    def equal_area_disk(self) -> "RasterGrid":
+        """The 128-gon disk centered at the origin whose area is this grid's
+        area, rasterized at the same spacing."""
+        from .domains import disk
+
+        return rasterize(disk(radius=math.sqrt(self.area() / math.pi), segments=128), self.h)
 
 
 def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:

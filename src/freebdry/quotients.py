@@ -125,7 +125,8 @@ def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
     instead of multiplying by a cutoff leaves the gradient untouched where u
     is positive, so the probe's quotient approaches the sharp bound as
     ``epsilon`` shrinks.  By construction u = 0 within the margin distance of
-    the fixed boundary.
+    the fixed boundary.  A given ``grid`` must be a rasterization of
+    ``domain`` at spacing ``h``; the inradius is its cached ``inradius``.
     """
     if epsilon <= 0.0:
         raise PreconditionError("bubble scale must be positive")
@@ -143,9 +144,7 @@ def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
     else:
         clearance = float(domain.boundary_distance(center[None, :])[0])
     X, Y = grid.cell_centers()
-    inradius = float(domain.boundary_distance(
-        np.column_stack([X[grid.mask], Y[grid.mask]])).max())
-    R = clearance - margin_fraction * inradius
+    R = clearance - margin_fraction * grid.inradius
     if R <= 2.0 * epsilon:
         raise PreconditionError(
             f"bubble scale {epsilon} too large for clearance {clearance}"

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import domains
 from .errors import PreconditionError
 from .geometry import FIXED, FACE_FIXED, LabeledDomain, RasterGrid, rasterize
 
@@ -56,10 +54,6 @@ __all__ = [
     "check_rearrangement_energy_factor",
     "gradient_lp_norm",
     "random_admissible_field",
-    "save_field_csv",
-    "load_field_csv",
-    "save_field_grid",
-    "load_field_grid",
 ]
 
 
@@ -273,18 +267,17 @@ def decreasing_rearrangement(field: ScalarField) -> DecreasingProfile:
     return DecreasingProfile(levels=vals, cell_area=field.grid.cell_area)
 
 
-def radial_rearrangement(field: ScalarField, segments: int = 128) -> RadialField:
+def radial_rearrangement(field: ScalarField) -> RadialField:
     """Push the field onto the equal-area disk, radially nonincreasing.
 
     The disk value at radius r is the profile evaluated at the measure of the
     concentric disk, pi r^2, which makes the output equimeasurable with the
-    source up to grid quantization.
+    source up to grid quantization.  The disk grid is the source grid's
+    ``equal_area_disk``, so every field on one grid shares one disk.
     """
     profile = decreasing_rearrangement(field)
     A = field.area
-    R = math.sqrt(A / math.pi)
-    disk_domain = domains.disk(radius=R, segments=segments)
-    grid = rasterize(disk_domain, field.grid.h)
+    grid = field.grid.equal_area_disk
     X, Y = grid.cell_centers()
     rr2 = X * X + Y * Y
     values = profile.value(math.pi * rr2)
@@ -730,7 +723,9 @@ def random_admissible_field(domain: LabeledDomain, h: float,
 
     The taper is a quintic smoothstep of the distance to the fixed edges, so
     the field is admissible (vanishing fixed-boundary trace) and smooth
-    enough for the level-set machinery.
+    enough for the level-set machinery.  A given ``grid`` must be a
+    rasterization of ``domain``; its cached ``fixed_distance`` is the taper's
+    distance.
     """
     if grid is None:
         grid = rasterize(domain, h)
@@ -751,71 +746,8 @@ def random_admissible_field(domain: LabeledDomain, h: float,
         r2 = ((pts - c) ** 2).sum(axis=1)
         vals += amp * np.exp(-0.5 * r2 / sigma**2)
     if domain.boundary_length(FIXED) > 0.0:
-        dist = domain.distance_to_label(pts, FIXED)
+        dist = grid.fixed_distance.ravel()
         w = 0.15 * math.sqrt(domain.area)
         s = np.clip(dist / w, 0.0, 1.0)
         vals *= s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
     return ScalarField(grid, vals.reshape(X.shape))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_field_csv(field: ScalarField, path) -> None:
-    """Write (x, y, value) rows for the inside cells, row-major order."""
-    X, Y = field.grid.cell_centers()
-    m = field.grid.mask
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for x, y, v in zip(X[m], Y[m], field.values[m]):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
-
-
-def load_field_csv(path, grid: RasterGrid) -> ScalarField:
-    """Read (x, y, value) rows back onto an existing grid; positions must
-    match grid cell centers."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    h = grid.h
-    vals = np.zeros(grid.mask.shape)
-    jj = np.round((data[:, 0] - grid.origin[0]) / h - 0.5).astype(int)
-    ii = np.round((data[:, 1] - grid.origin[1]) / h - 0.5).astype(int)
-    ok = (ii >= 0) & (ii < grid.mask.shape[0]) & (jj >= 0) & (jj < grid.mask.shape[1])
-    if not ok.all():
-        raise ValueError("field file does not match the grid")
-    vals[ii, jj] = data[:, 2]
-    if not grid.mask[ii, jj].all():
-        raise ValueError("field file contains cells outside the grid mask")
-    return ScalarField(grid, vals)
-
-
-_GRID_MAGIC = b"FBGR"
-
-
-def save_field_grid(field: ScalarField, path) -> None:
-    """Binary dump: magic, nx, ny (int64), h, origin (float64), then the full
-    row-major value array with NaN outside the mask."""
-    ny, nx = field.grid.mask.shape
-    arr = np.where(field.grid.mask, field.values, np.nan)
-    with open(path, "wb") as fh:
-        fh.write(_GRID_MAGIC)
-        fh.write(struct.pack("<qq", nx, ny))
-        fh.write(struct.pack("<ddd", field.grid.h, *field.grid.origin))
-        fh.write(arr.astype("<f8").tobytes())
-
-
-def load_field_grid(path, grid: RasterGrid) -> ScalarField:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _GRID_MAGIC:
-            raise ValueError("not a field grid dump")
-        nx, ny = struct.unpack("<qq", fh.read(16))
-        h, ox, oy = struct.unpack("<ddd", fh.read(24))
-        if (ny, nx) != grid.mask.shape or abs(h - grid.h) > 1e-12 * grid.h:
-            raise ValueError("grid dump does not match the target grid")
-        if abs(ox - grid.origin[0]) > 1e-9 or abs(oy - grid.origin[1]) > 1e-9:
-            raise ValueError("grid dump origin does not match the target grid")
-        arr = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(ny, nx)
-    vals = np.where(grid.mask, arr, 0.0)
-    if not np.isfinite(vals[grid.mask]).all():
-        raise ValueError("grid dump is missing values inside the mask")
-    return ScalarField(grid, vals)

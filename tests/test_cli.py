@@ -267,3 +267,79 @@ def test_console_entry_point():
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+_FIELD_GOLDENS = [
+    ("sobolev_halfdisk_seed1.json", ["sobolev", "--domain", "halfdisk", "--seed", "1"]),
+    ("moser_random_concave_seed1_h005.json",
+     ["moser", "--domain", str(Path(__file__).parent / "data" / "random_concave_seed1.json"),
+      "--h", "0.05", "--random", "3", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", _FIELD_GOLDENS)
+def test_field_report_matches_golden(tmp_path, name, argv):
+    # reports made when every field rasterized its own grid, every bubble
+    # measured its own inradius and every rearrangement built its own disk;
+    # the shared grid and its cached geometry must reproduce them byte for byte
+    golden = Path(__file__).parent / "data" / name
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_field_campaigns_rerun_in_process_like_a_fresh_interpreter(tmp_path):
+    calls = [argv for _, argv in _FIELD_GOLDENS]
+    reports = []
+    for k, argv in enumerate(calls + calls):
+        out = tmp_path / f"call{k}.json"
+        assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports == _fresh_reports(calls, tmp_path) * 2
+
+
+def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
+    # each call loads its own domain, so it rasterizes and checks concavity anew
+    import freebdry.geometry as geometry
+    import freebdry.quotients as quotients
+    import freebdry.rearrange as rearrange
+
+    counts = {"rasterize": 0, "concavity": 0}
+    rasterize, concavity = geometry.rasterize, geometry._sampled_concavity
+
+    def counted_rasterize(*args):
+        counts["rasterize"] += 1
+        return rasterize(*args)
+
+    def counted_concavity(domain):
+        counts["concavity"] += 1
+        return concavity(domain)
+
+    for module in (geometry, quotients, rearrange):
+        monkeypatch.setattr(module, "rasterize", counted_rasterize)
+    monkeypatch.setattr(geometry, "_sampled_concavity", counted_concavity)
+    for _ in range(2):
+        assert run_cli(["sobolev", "--h", "0.0625", "--random", "2", "--quiet"]) == 0
+    # one grid per call for three bubbles and two random fields
+    assert counts == {"rasterize": 2, "concavity": 2}
+    counts.update(rasterize=0, concavity=0)
+    for _ in range(2):
+        assert run_cli(["moser", "--h", "0.0625", "--random", "3", "--quiet"]) == 0
+    # one grid and one equal-area disk per call for three fields
+    assert counts == {"rasterize": 4, "concavity": 0}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sobolev", "--epsilon", "0"], 3),
+    (["sobolev", "--epsilon", "0", "--h", "0.5"], 3),
+    (["sobolev", "--epsilon", "0.9", "--h", "0.02"], 3),
+    (["sobolev", "--random", "0", "--h", "0.0625"], 0),
+    (["sobolev", "--h", "0.5"], 2),
+    (["sobolev", "--h", "0.5", "--random", "0"], 2),
+    (["moser", "--h", "0.5"], 2),
+    (["moser", "--h", "0.5", "--random", "0"], 0),
+])
+def test_field_campaign_exit_codes(argv, code):
+    # the grid is built by the first field that needs it, so an input check
+    # that ran before rasterization still decides the exit code
+    assert run_cli(argv + ["--quiet"]) == code

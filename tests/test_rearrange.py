@@ -16,13 +16,9 @@ from freebdry.rearrange import (
     distribution_function,
     gradient_lp_norm,
     level_stats,
-    load_field_csv,
-    load_field_grid,
     quantile_levels,
     radial_rearrangement,
     random_admissible_field,
-    save_field_csv,
-    save_field_grid,
 )
 
 H = 1.0 / 128
@@ -345,30 +341,6 @@ def test_equimeasurability_random_sweep():
             assert d <= 4.0 * f.h * S
             checked += 1
     assert checked >= 20
-
-
-# -- serialization ----------------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path, half_disk_cone_128):
-    path = tmp_path / "field.csv"
-    save_field_csv(half_disk_cone_128, path)
-    back = load_field_csv(path, half_disk_cone_128.grid)
-    assert np.allclose(back.values, half_disk_cone_128.values)
-
-
-def test_binary_round_trip(tmp_path, half_disk_cone_128):
-    path = tmp_path / "field.bin"
-    save_field_grid(half_disk_cone_128, path)
-    back = load_field_grid(path, half_disk_cone_128.grid)
-    assert np.array_equal(back.values, half_disk_cone_128.values)
-
-
-def test_binary_grid_mismatch(tmp_path, half_disk_cone_128, square_domain):
-    path = tmp_path / "field.bin"
-    save_field_grid(half_disk_cone_128, path)
-    other = rasterize(square_domain, 1.0 / 32)
-    with pytest.raises(ValueError):
-        load_field_grid(path, other)
 
 
 # -- field validation ------------------------------------------------------------------------
