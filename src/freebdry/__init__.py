@@ -28,8 +28,6 @@ from .geometry import (
     LabeledDomain,
     RasterGrid,
     SymmetrizationResult,
-    area,
-    boundary_length,
     equal_volume_cut,
     is_concave_free_boundary,
     isoperimetric_report,
@@ -42,7 +40,6 @@ from .domains import builtin_domain, random_concave_domain
 from .rearrange import (
     DecreasingProfile,
     LevelStats,
-    RadialField,
     ScalarField,
     check_flux_lower_bound,
     check_profile_energy_bound,

@@ -61,14 +61,19 @@ EXIT_PRECONDITION = 3
 EXIT_INEQUALITY = 4
 
 
-def _load_domain(spec: str, segments: int = 64) -> LabeledDomain:
+def _load_domain(spec: str) -> LabeledDomain:
     if spec.startswith("counterexample:"):
-        a = float(spec.split(":", 1)[1])
-        return counterexample_domain(CounterexampleSpec(a=a), segments=segments)
+        try:
+            a = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise DomainValidationError(
+                f"{spec!r}: the curvature parameter after 'counterexample:' must be a number"
+            ) from None
+        return counterexample_domain(CounterexampleSpec(a=a))
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         return LabeledDomain.load_json(path)
-    return domlib.builtin_domain(spec, segments=segments)
+    return domlib.builtin_domain(spec)
 
 
 def _out_dir(args) -> Path | None:

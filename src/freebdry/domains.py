@@ -24,7 +24,6 @@ __all__ = [
     "l_shape",
     "right_trapezoid",
     "square_annulus",
-    "square_with_square_hole",
     "builtin_domain",
     "BUILTIN_NAMES",
     "random_concave_domain",
@@ -81,11 +80,6 @@ def square_annulus(outer: float = 2.0, inner: float = 1.0,
     hole_labels = [[FREE] * 4] if free_inner else None
     return LabeledDomain(outer_pts, [FIXED] * 4, holes=[inner_pts],
                          hole_labels=hole_labels)
-
-
-def square_with_square_hole(outer: float = 1.0, inner: float = 0.5) -> LabeledDomain:
-    """Unit-style square with a centered square hole, everything fixed."""
-    return square_annulus(outer=outer, inner=inner, free_inner=False)
 
 
 BUILTIN_NAMES = (

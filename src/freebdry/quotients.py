@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import moser_trudinger_beta, sobolev_best_constant
+from .constants import critical_exponent, moser_trudinger_beta, sobolev_best_constant
 from .errors import PreconditionError
 from .geometry import (
     FIXED,
     FREE,
     LabeledDomain,
     _signed_area,
-    is_concave_free_boundary,
     rasterize,
+    require_concave,
 )
 from .rearrange import ScalarField, gradient_lp_norm, radial_rearrangement
 
@@ -82,10 +82,8 @@ def sobolev_report(field: ScalarField, p: float) -> SobolevReport:
         raise PreconditionError("the quotient of the zero field is undefined")
     if not field.fixed_trace_ok():
         raise PreconditionError("field does not vanish on the fixed boundary")
-    report = is_concave_free_boundary(field.grid.domain)
-    if not report.concave:
-        raise PreconditionError("free chain is not concave with respect to the domain")
-    p_star = 2.0 * p / (2.0 - p)
+    report = require_concave(field.grid.domain)
+    p_star = critical_exponent(2, p)
     grad = gradient_lp_norm(field, p)
     lps = lp_norm(field, p_star)
     quotient = grad / lps

@@ -4,7 +4,7 @@ The pipeline: a nonnegative :class:`ScalarField` sampled at the cell centers
 of a rasterized domain is sorted into its one-dimensional decreasing profile
 (:class:`DecreasingProfile`, the generalized inverse of the super-level-set
 measure), then pushed onto the equal-area disk as a radially nonincreasing
-:class:`RadialField`.  Level-set statistics -- contour length, the coarea
+:class:`ScalarField`.  Level-set statistics -- contour length, the coarea
 integral of 1/|grad|, and the |grad|^{p-1} flux -- are extracted by marching
 squares.  Each check hands its whole level list to one batched pass per
 field, which contours the levels a fixed-size chunk at a time and keeps each
@@ -28,21 +28,18 @@ curves never run along the boundary itself.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import FIXED, FACE_FIXED, LabeledDomain, RasterGrid, rasterize
+from .geometry import FIXED, FACE_FIXED, LabeledDomain, RasterGrid, rasterize, require_concave
 
 __all__ = [
     "ScalarField",
     "DecreasingProfile",
     "LevelStats",
-    "RadialField",
     "distribution_function",
     "decreasing_rearrangement",
     "radial_rearrangement",
@@ -173,19 +170,6 @@ class ScalarField:
         return float(np.abs(vals).max()) <= allowance
 
 
-class RadialField(ScalarField):
-    """Radially nonincreasing field on the equal-area disk."""
-
-    def __init__(self, grid, values, profile: "DecreasingProfile", source_area: float):
-        super().__init__(grid, values)
-        self.profile = profile
-        self.source_area = source_area
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.source_area / math.pi)
-
-
 # ---------------------------------------------------------------------------
 # distribution function and decreasing profile
 # ---------------------------------------------------------------------------
@@ -212,22 +196,12 @@ class DecreasingProfile:
         self._breaks = (np.arange(len(self.levels)) + 0.5) * self.cell_area
 
     @property
-    def breakpoints(self) -> np.ndarray:
-        return self._breaks
-
-    @property
     def total_measure(self) -> float:
         return len(self.levels) * self.cell_area
 
     def value(self, s) -> np.ndarray | float:
         out = np.interp(np.asarray(s, dtype=float), self._breaks, self.levels)
         return float(out) if np.isscalar(s) else out
-
-    def mu(self, t: float) -> float:
-        """Measure of { profile > t }; matches the field's distribution
-        function exactly at the sorted-cell level."""
-        count = np.searchsorted(-self.levels, -t, side="left")
-        return float(count) * self.cell_area
 
     def slope(self, s: float, window: float | None = None) -> float:
         """Local slope at measure coordinate ``s``.
@@ -267,7 +241,7 @@ def decreasing_rearrangement(field: ScalarField) -> DecreasingProfile:
     return DecreasingProfile(levels=vals, cell_area=field.grid.cell_area)
 
 
-def radial_rearrangement(field: ScalarField) -> RadialField:
+def radial_rearrangement(field: ScalarField) -> ScalarField:
     """Push the field onto the equal-area disk, radially nonincreasing.
 
     The disk value at radius r is the profile evaluated at the measure of the
@@ -276,12 +250,11 @@ def radial_rearrangement(field: ScalarField) -> RadialField:
     ``equal_area_disk``, so every field on one grid shares one disk.
     """
     profile = decreasing_rearrangement(field)
-    A = field.area
     grid = field.grid.equal_area_disk
     X, Y = grid.cell_centers()
     rr2 = X * X + Y * Y
     values = profile.value(math.pi * rr2)
-    return RadialField(grid, np.asarray(values), profile, A)
+    return ScalarField(grid, np.asarray(values))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +405,6 @@ def _kept_segments(field: ScalarField, segments: np.ndarray) -> tuple[np.ndarray
     return segments[keep], lengths[keep]
 
 
-def _level_segments(field: ScalarField, t: float) -> np.ndarray:
-    """The kept contour segments (K, 2, 2) of one level, contoured anew."""
-    segments = _contour_chunk(field, _marching_blocks(field), np.array([float(t)]))[0]
-    return _kept_segments(field, segments)[0]
-
-
 def _fill_contours(field: ScalarField, levels) -> None:
     """Contour every level of ``levels`` strictly inside the field's range
     that the field's contour cache lacks, in sorted chunks of
@@ -457,30 +424,6 @@ def _fill_contours(field: ScalarField, levels) -> None:
             field._contours[float(t)] = (lengths, _bilinear_sample(field, mids))
 
 
-def _count_components(segments: np.ndarray, h: float) -> int:
-    if len(segments) == 0:
-        return 0
-    scale = 1.0 / (1e-6 * h)
-    keys = np.round(segments.reshape(-1, 2) * scale).astype(np.int64)
-    _, inv = np.unique(keys, axis=0, return_inverse=True)
-    n = inv.max() + 1
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ends = inv.reshape(-1, 2)
-    for u, v in ends:
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[ru] = rv
-    roots = {find(int(u)) for u in ends.ravel()}
-    return len(roots)
-
-
 @dataclass(frozen=True)
 class LevelStats:
     """Per-level contour statistics.
@@ -489,10 +432,7 @@ class LevelStats:
     ``coarea_integral`` -- sum over the contour of ds / |grad u|,
     ``flux_p``          -- sum over the contour of |grad u|^{p-1} ds,
     ``reliable``        -- False when |grad u| nearly vanishes somewhere on
-                           the contour (near-critical level),
-    ``components``      -- number of connected contour polylines, counted
-                           when first read from the level contoured again
-                           (the contour cache keeps no segments).
+                           the contour (near-critical level).
     """
 
     level: float
@@ -501,11 +441,6 @@ class LevelStats:
     coarea_integral: float
     flux_p: float
     reliable: bool
-    field: ScalarField = dataclasses.field(repr=False, compare=False)
-
-    @cached_property
-    def components(self) -> int:
-        return _count_components(_level_segments(self.field, self.level), self.field.grid.h)
 
 
 def level_stats(field: ScalarField, t: float, p: float = 2.0) -> LevelStats:
@@ -524,13 +459,13 @@ def level_stats(field: ScalarField, t: float, p: float = 2.0) -> LevelStats:
         _fill_contours(field, [t])
     lengths, gmag = field._contours[float(t)]
     if len(lengths) == 0:
-        return LevelStats(t, p, 0.0, 0.0, 0.0, False, field)
+        return LevelStats(t, p, 0.0, 0.0, 0.0, False)
     reliable = bool((gmag > 1e-8).all())
     gsafe = np.clip(gmag, 1e-8, None)
     surface = float(lengths.sum())
     coarea = float((lengths / gsafe).sum())
     flux = float((lengths * gsafe ** (p - 1.0)).sum())
-    return LevelStats(t, p, surface, coarea, flux, reliable, field)
+    return LevelStats(t, p, surface, coarea, flux, reliable)
 
 
 def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -688,15 +623,11 @@ def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[flo
     for fields vanishing on the fixed boundary of a domain whose free chain
     is concave.  Returns (left integral, right-hand bound).
     """
-    from .geometry import is_concave_free_boundary
-
     if p <= 1.0:
         raise PreconditionError("the energy factor bound needs p > 1")
     if not field.fixed_trace_ok():
         raise PreconditionError("field does not vanish on the fixed boundary")
-    report = is_concave_free_boundary(field.grid.domain)
-    if not report.concave:
-        raise PreconditionError("free chain is not concave with respect to the domain")
+    require_concave(field.grid.domain)
     star = radial_rearrangement(field)
     lhs = gradient_lp_norm(star, p) ** p
     rhs = 2.0 ** (0.5 * p) * gradient_lp_norm(field, p) ** p

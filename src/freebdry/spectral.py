@@ -26,14 +26,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, DomainValidationError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .geometry import (
     _DIRS,
     FACE_FIXED,
     LabeledDomain,
     RasterGrid,
-    is_concave_free_boundary,
     rasterize,
+    require_concave,
 )
 from .rearrange import ScalarField
 
@@ -43,10 +43,7 @@ __all__ = [
     "SpectralProblem",
     "FrequencyReport",
     "assemble",
-    "assemble_grid",
     "principal_frequency",
-    "quadratic_form",
-    "bessel_j0",
     "first_bessel_zero",
     "half_ball_reference",
     "check_frequency_vs_half_ball",
@@ -60,27 +57,22 @@ class SpectralProblem:
 
     matrix: sparse.csr_matrix
     grid: RasterGrid
-    index: np.ndarray      # (ny, nx) int, -1 outside, cell number inside
     cells: np.ndarray      # (K, 2) row/col of each cell
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
     def has_fixed_face(self) -> bool:
         return bool((self.grid.face_labels == FACE_FIXED).any())
 
 
-def assemble_grid(grid: RasterGrid) -> SpectralProblem:
-    """Assemble the mixed-boundary five-point Laplacian on a grid."""
+def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
+    """Assemble the mixed-boundary five-point Laplacian on the domain's
+    grid of spacing ``h``."""
+    grid = rasterize(domain, h)
     mask = grid.mask
     ny, nx = mask.shape
-    if not mask.any():
-        raise DomainValidationError("no interior cells to assemble on")
     index = -np.ones((ny, nx), dtype=np.int64)
     ii, jj = np.nonzero(mask)
     index[ii, jj] = np.arange(len(ii))
@@ -109,16 +101,7 @@ def assemble_grid(grid: RasterGrid) -> SpectralProblem:
         (np.concatenate(vals) / h2, (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(ii), len(ii)),
     ).tocsr()
-    return SpectralProblem(matrix=A, grid=grid, index=index, cells=cells)
-
-
-def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
-    return assemble_grid(rasterize(domain, h))
-
-
-def quadratic_form(problem: SpectralProblem, u: np.ndarray) -> float:
-    """u^T A u scaled by h^2: the face-difference Dirichlet energy of u."""
-    return float(u @ (problem.matrix @ u)) * problem.h**2
+    return SpectralProblem(matrix=A, grid=grid, cells=cells)
 
 
 def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
@@ -166,13 +149,6 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 # disk reference through the first Bessel zero
 # ---------------------------------------------------------------------------
-
-def bessel_j0(x):
-    """J0, from ``scipy.special`` (imported on first use, not with the package)."""
-    from scipy.special import j0
-
-    return j0(x)
-
 
 @lru_cache(maxsize=1)
 def first_bessel_zero() -> float:
@@ -224,11 +200,7 @@ def check_frequency_vs_half_ball(domain: LabeledDomain, h: float,
     Requires the free chain to be concave (the hypothesis under which the
     bound holds); an empty free chain is allowed but flagged as vacuous.
     """
-    report = is_concave_free_boundary(domain)
-    if not report.concave:
-        raise PreconditionError(
-            "free chain is not concave with respect to the domain"
-        )
+    report = require_concave(domain)
     problem = assemble(domain, h)
     lam, _, iters = principal_frequency(problem, tol=tol, seed=seed)
     reference = half_ball_reference(domain.area)

@@ -187,6 +187,30 @@ def test_non_finite_domain_file_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+_SQUARE = '[[0, 0], [1, 0], [1, 1], [0, 1]]'
+_FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
+
+
+@pytest.mark.parametrize("text, spec", [
+    ('{"vertices": [["a", 0], [1, 0], [0, 1]], "labels": ["fixed", "fixed", "fixed"]}', None),
+    ('{"vertices": [[0, 0], [1], [0, 1]], "labels": ["fixed", "fixed", "fixed"]}', None),
+    (f'[{_SQUARE}, {_FOUR_FIXED}]', None),
+    (f'{{"vertices": {_SQUARE}, "labels": {_FOUR_FIXED}, "holes": [], "hole_labels": 5}}', None),
+    (f'{{"vertices": {_SQUARE}, "labels": {_FOUR_FIXED}, '
+     '"holes": [[[0.4, 0.4], [0.6, 0.4], [0.5, 0.6]]], "hole_labels": [5]}', None),
+    (None, "counterexample:abc"),
+    (None, "counterexample:"),
+], ids=["non-numeric", "ragged", "top-level-list", "hole-labels-not-list",
+        "hole-labels-entry-not-list", "counterexample-not-number", "counterexample-empty"])
+def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
+    if spec is None:
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+    assert run_cli(["isoperim", "--domain", str(spec), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["isoperim", "--bogus"])

@@ -1,26 +1,37 @@
-"""The float-list equal-area cut and polygon helpers against their references.
+"""The float-list equal-area cut, the reflection split and polygon helpers
+against their references.
 
 The references below are the numpy-scalar versions that preceded the
 float-list loops: a Sutherland-Hodgman clip that projects the loop at every
 bisection step, an ``np.roll`` shoelace, and the crossing search of the
 random-domain generator.  The float-list code keeps every floating-point
 operation and its order, so the results must agree exactly (``==``): each
-symmetrize report depends on the offset's last bit.
+symmetrize report depends on the offset's last bit.  The split reference
+stitches any number of kept components and chords; the two-crossing arc
+must give the same union, bit for bit, or the same error text.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from freebdry import domains
 from freebdry.domains import _loop_intersections, _point_in_convex
+from freebdry.errors import DegenerateCutError
 from freebdry.geometry import (
+    FIXED,
+    FREE,
     GOLDEN_ANGLE,
+    CutLine,
+    LabeledDomain,
     _area_above,
     _edge_lengths,
+    _reflected_half,
     _signed_area,
     equal_volume_cut,
+    symmetrization_step,
 )
 
 
@@ -170,6 +181,191 @@ def test_area_above_matches_reference_at_every_offset():
             offsets = np.concatenate([np.linspace(proj.min() - 0.1, proj.max() + 0.1, 41), proj])
             for off in offsets.tolist():
                 assert _area_above(dom, normal, off) == reference_area_above(dom, normal, off)
+
+
+# -- reflection split ------------------------------------------------------------
+
+_CUT = "__cut__"  # label of the chord edges in the reference's components
+
+
+def reference_split_loop_by_line(loop, labels, normal, offset, side):
+    """Components of a simple CCW polygon on one side of a line, as
+    (vertices, labels) with chord edges labelled ``_CUT``."""
+    d = (loop @ normal - offset) * side
+    m = len(loop)
+    if (d > 0.0).all():
+        return [(loop.copy(), list(labels))]
+    if (d < 0.0).all():
+        return []
+    direction = np.array([normal[1], -normal[0]])
+
+    crossings = {}
+    cross_list = []
+    for i in range(m):
+        j = (i + 1) % m
+        if (d[i] > 0.0) != (d[j] > 0.0):
+            t = d[i] / (d[i] - d[j])
+            c = {"edge": i, "point": loop[i] + t * (loop[j] - loop[i]), "up": d[j] > 0.0}
+            crossings[i] = c
+            cross_list.append(c)
+    if len(cross_list) % 2 != 0:
+        raise DegenerateCutError("odd number of boundary crossings; cut is tangent")
+    order = np.argsort([c["point"] @ direction for c in cross_list], kind="stable")
+    for rank, k in enumerate(order):
+        cross_list[int(k)]["rank"] = int(rank)
+
+    srt = sorted(cross_list, key=lambda c: c["rank"])
+    partner = {}
+    for k in range(0, len(srt), 2):
+        partner[srt[k]["rank"]] = srt[k + 1]["rank"]
+        partner[srt[k + 1]["rank"]] = srt[k]["rank"]
+
+    start_edge = next((c["edge"] + 1) % m for c in cross_list if not c["up"])
+    arcs = {}
+    cur = None
+    i = start_edge
+    for _ in range(m):
+        c = crossings.get(i)
+        j = (i + 1) % m
+        if c is None:
+            if cur is not None:
+                cur["verts"].append(loop[j])
+                cur["labs"].append(labels[i])
+        elif c["up"]:
+            cur = {"verts": [c["point"], loop[j]], "labs": [labels[i]], "start": c["rank"]}
+        else:
+            if cur is None:
+                raise DegenerateCutError("cut stitching failed (walk state)")
+            cur["verts"].append(c["point"])
+            cur["labs"].append(labels[i])
+            cur["end"] = c["rank"]
+            arcs[cur["start"]] = cur
+            cur = None
+        i = j
+    if cur is not None:
+        raise DegenerateCutError("cut stitching failed (open arc)")
+
+    comps = []
+    used = set()
+    for start_rank in list(arcs):
+        if start_rank in used:
+            continue
+        verts, labs = [], []
+        rank = start_rank
+        while True:
+            used.add(rank)
+            arc = arcs[rank]
+            verts.extend(arc["verts"])
+            labs.extend(arc["labs"])
+            labs.append(_CUT)
+            rank = partner[arc["end"]]
+            if rank == start_rank:
+                break
+            if rank not in arcs:
+                raise DegenerateCutError("cut stitching failed (chord pairing)")
+        comps.append((np.array(verts), labs))
+    return comps
+
+
+def reference_reflected_half(loop, labels, cut, side):
+    """The kept component's boundary path from chord end to chord start,
+    followed by its mirror image."""
+    comps = reference_split_loop_by_line(loop, labels, cut.normal, cut.offset, side)
+    if len(comps) != 1:
+        raise DegenerateCutError(f"kept half has {len(comps)} components")
+    verts, labs = comps[0]
+    chord_edges = [i for i, l in enumerate(labs) if l == _CUT]
+    if len(chord_edges) != 1:
+        raise DegenerateCutError(f"kept half meets the cut in {len(chord_edges)} chords")
+    if len(verts) - len(chord_edges) < 2:
+        raise DegenerateCutError("kept half is degenerate")
+    k = chord_edges[0]
+    mlen = len(verts)
+    path = [verts[(k + 1 + j) % mlen] for j in range(mlen)]
+    path_labels = [labs[(k + 1 + j) % mlen] for j in range(mlen - 1)]
+    interior = np.array(path[1:-1]) if mlen > 2 else np.empty((0, 2))
+    mirrored = cut.mirror(interior[::-1]) if len(interior) else np.empty((0, 2))
+    return np.vstack([np.array(path), mirrored]), path_labels + path_labels[::-1]
+
+
+def nudged(dom, cut):
+    """The cut moved off the vertex set the way ``symmetrization_step`` moves it."""
+    scale = max(dom.diameter, 1e-30)
+    if np.min(np.abs(dom.vertices @ cut.normal - cut.offset)) < 1e-11 * scale:
+        return CutLine(cut.angle, cut.offset + 3.17e-9 * scale)
+    return cut
+
+
+def split_outcome(split, dom, cut, side):
+    """The union's shape, bytes and labels, or the error text."""
+    try:
+        vertices, labels = split(dom.vertices, dom.labels, cut, side)
+    except DegenerateCutError as exc:
+        return str(exc)
+    return vertices.shape, vertices.tobytes(), labels
+
+
+def assert_splits_match(dom, cuts) -> Counter:
+    """Compare both sides of every cut; returns the count of each error text."""
+    errors = Counter()
+    for cut in cuts:
+        for side in (1, -1):
+            ref = split_outcome(reference_reflected_half, dom, cut, side)
+            assert split_outcome(_reflected_half, dom, cut, side) == ref
+            if isinstance(ref, str):
+                errors[ref] += 1
+    return errors
+
+
+def test_split_matches_reference_on_random_domains():
+    rng = np.random.default_rng(2025)
+    thetas = [(k * GOLDEN_ANGLE) % math.pi for k in range(1, 6)]
+    errors = Counter()
+    for _ in range(200):
+        dom = domains.random_concave_domain(rng)
+        errors += assert_splits_match(dom, [nudged(dom, equal_volume_cut(dom, t)) for t in thetas])
+    assert any(e.startswith("kept half has ") and not e.endswith(" 0 components") for e in errors)
+    assert any(e.startswith("kept half meets the cut in ") and " 0 " not in e for e in errors)
+
+
+@pytest.mark.parametrize("name", domains.BUILTIN_NAMES)
+def test_split_matches_reference_on_builtins(name):
+    # annuli: the split takes the outer loop alone
+    dom = domains.builtin_domain(name)
+    thetas = [0.0, math.pi / 4.0, math.pi / 2.0] + [(k * GOLDEN_ANGLE) % math.pi for k in range(1, 6)]
+    cuts = [nudged(dom, equal_volume_cut(dom, t)) for t in thetas]
+    # lines missing the polygon: nothing or everything is kept
+    errors = assert_splits_match(dom, cuts + [CutLine(0.3, 10.0), CutLine(2.0, -10.0)])
+    assert errors["kept half has 0 components"] == 2
+    assert errors["kept half meets the cut in 0 chords"] == 2
+
+
+def test_split_matches_reference_on_multichord_domain():
+    # U-shaped domain: above the horizontal equal cut (y = 1.25) lie the two
+    # prongs, below it one part meeting the line in two chords
+    pts = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
+    dom = LabeledDomain(pts, [FIXED, FIXED, FIXED, FREE, FREE, FREE, FIXED, FIXED])
+    errors = assert_splits_match(dom, [equal_volume_cut(dom, 0.0)])
+    assert errors == {"kept half has 2 components": 1, "kept half meets the cut in 2 chords": 1}
+
+
+@pytest.mark.parametrize("dom, theta", [
+    # the 2 x 1 rectangle with a vertex mid-bottom and mid-top, cut at x = 1
+    (LabeledDomain([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)],
+                   [FREE, FREE, FIXED, FIXED, FIXED, FIXED]), math.pi / 2.0),
+    (domains.half_disk(), math.pi / 2.0),  # through the arc's apex
+])
+def test_split_matches_reference_on_nudged_vertex_cut(dom, theta):
+    moved = nudged(dom, equal_volume_cut(dom, theta))
+    assert moved != equal_volume_cut(dom, theta)
+    assert not assert_splits_match(dom, [moved])
+    # the whole step reflects one of the two reference unions
+    res = symmetrization_step(dom, theta)
+    assert res.case == "reflected" and res.cut == moved
+    unions = [LabeledDomain(*reference_reflected_half(dom.vertices, dom.labels, moved, side))
+              for side in (1, -1)]
+    assert any(res.domain.vertices.tobytes() == u.vertices.tobytes()
+               and res.domain.labels == u.labels for u in unions)
 
 
 # -- shoelace and edge lengths ---------------------------------------------------

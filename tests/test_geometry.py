@@ -11,8 +11,6 @@ from freebdry.geometry import (
     CutLine,
     LabeledDomain,
     _check_simple,
-    area,
-    boundary_length,
     equal_volume_cut,
     is_concave_free_boundary,
     isoperimetric_report,
@@ -161,32 +159,32 @@ def test_non_finite_vertex_rejected(bad):
 # -- area and lengths -------------------------------------------------------
 
 def test_area_unit_square(square_domain):
-    assert area(square_domain) == pytest.approx(1.0)
+    assert square_domain.area == pytest.approx(1.0)
 
 
 def test_area_half_disk(half_disk_domain):
-    assert area(half_disk_domain) == pytest.approx(math.pi / 2.0, rel=2e-3)
+    assert half_disk_domain.area == pytest.approx(math.pi / 2.0, rel=2e-3)
 
 
 def test_area_square_with_hole():
-    dom = domains.square_with_square_hole(outer=1.0, inner=0.5)
-    assert area(dom) == pytest.approx(0.75)
+    dom = domains.square_annulus(outer=1.0, inner=0.5)
+    assert dom.area == pytest.approx(0.75)
 
 
 def test_boundary_lengths_square(square_free_bottom):
-    assert boundary_length(square_free_bottom, FIXED) == pytest.approx(3.0)
-    assert boundary_length(square_free_bottom, FREE) == pytest.approx(1.0)
-    assert boundary_length(square_free_bottom) == pytest.approx(4.0)
+    assert square_free_bottom.boundary_length(FIXED) == pytest.approx(3.0)
+    assert square_free_bottom.boundary_length(FREE) == pytest.approx(1.0)
+    assert square_free_bottom.boundary_length() == pytest.approx(4.0)
 
 
 def test_boundary_lengths_half_disk(half_disk_domain):
-    assert boundary_length(half_disk_domain, FIXED) == pytest.approx(math.pi, rel=2e-3)
-    assert boundary_length(half_disk_domain, FREE) == pytest.approx(2.0)
+    assert half_disk_domain.boundary_length(FIXED) == pytest.approx(math.pi, rel=2e-3)
+    assert half_disk_domain.boundary_length(FREE) == pytest.approx(2.0)
 
 
 def test_boundary_lengths_circle(disk_domain):
-    assert boundary_length(disk_domain, FIXED) == pytest.approx(2.0 * math.pi, rel=2e-3)
-    assert boundary_length(disk_domain, FREE) == 0.0
+    assert disk_domain.boundary_length(FIXED) == pytest.approx(2.0 * math.pi, rel=2e-3)
+    assert disk_domain.boundary_length(FREE) == 0.0
 
 
 # -- concavity -------------------------------------------------------------
