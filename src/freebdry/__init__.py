@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCutError,
     DomainValidationError,
+    ParameterError,
     PreconditionError,
 )
 from .geometry import (

@@ -5,7 +5,7 @@ prints a human-readable summary, optionally writes the full report as JSON or
 CSV, and exits with a machine-readable status:
 
     0  all asserted inequalities hold within tolerance
-    2  argument or input parsing failed
+    2  argument or input parsing failed (``--h``, ``--n``/``--p`` or ``--random`` out of range too)
     3  a precondition was violated (e.g. non-concave free chain)
     4  an asserted inequality failed
 
@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCutError,
     DomainValidationError,
+    ParameterError,
     PreconditionError,
 )
 from .geometry import (
@@ -76,13 +77,6 @@ def _load_domain(spec: str) -> LabeledDomain:
     return domlib.builtin_domain(spec)
 
 
-def _out_dir(args) -> Path | None:
-    if getattr(args, "plot_data", None):
-        return Path(args.plot_data)
-    env = os.environ.get("FREEBDRY_OUTDIR")
-    return Path(env) if env else None
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -91,9 +85,11 @@ def _csv_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _emit(args, payload: dict, table: tuple[list[str], list[dict]] | None = None) -> None:
+def _emit(args, payload: dict, table: tuple[list[str], list[dict]] | None = None) -> int:
     """Write the report as JSON, or as CSV of its primary table when the
-    campaign asked for csv format; column order is fixed per subcommand."""
+    campaign asked for csv format; column order is fixed per subcommand.
+    Returns the exit status: ``EXIT_INEQUALITY`` when the report lists
+    failures, else ``EXIT_OK``."""
     if getattr(args, "format", "json") == "csv" and table is not None:
         cols, rows = table
         lines = [",".join(cols)]
@@ -105,16 +101,21 @@ def _emit(args, payload: dict, table: tuple[list[str], list[dict]] | None = None
         Path(args.out).write_text(text)
     if not args.quiet:
         print(text, end="")
+    return EXIT_INEQUALITY if payload.get("failures") else EXIT_OK
 
 
-def _write_series(directory: Path, name: str, header: list[str], rows) -> Path:
+def _write_series(args, name: str, header: list[str], rows) -> None:
+    """Write a plot-ready CSV series into the ``--plot-data`` directory, or
+    else the FREEBDRY_OUTDIR one; without either, write nothing."""
+    directory = getattr(args, "plot_data", None) or os.environ.get("FREEBDRY_OUTDIR")
+    if not directory:
+        return
+    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{name}.csv"
-    with open(path, "w") as fh:
+    with open(directory / f"{name}.csv", "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,7 @@ def cmd_constants(args) -> int:
             "iso_free": c.iso_free,
         })
     cols = ["n", "p", "p_star", "sobolev", "moser_exponent", "sphere_area", "iso_std", "iso_free"]
-    _emit(args, {"command": "constants", "values": rows}, table=(cols, rows))
-    return EXIT_OK
+    return _emit(args, {"command": "constants", "values": rows}, table=(cols, rows))
 
 
 def cmd_isoperim(args) -> int:
@@ -166,17 +166,14 @@ def cmd_isoperim(args) -> int:
             failures.append({"index": k, "margin": rep.margin})
     payload = {"command": "isoperim", "reports": reports, "failures": failures}
     cols = ["index", "ratio", "bound", "margin", "area", "fixed_length", "concave", "vacuous"]
-    _emit(args, payload, table=(cols, reports))
-    return EXIT_INEQUALITY if failures else EXIT_OK
+    return _emit(args, payload, table=(cols, reports))
 
 
 def cmd_symmetrize(args) -> int:
     dom = _load_domain(args.domain)
     final, trace = symmetrize_iterate(dom, steps=args.steps)
-    rows = [(t["step"], t["ratio"], t["area"]) for t in trace]
-    out = _out_dir(args)
-    if out is not None:
-        _write_series(out, "symmetrize_trace", ["step", "ratio", "area"], rows)
+    _write_series(args, "symmetrize_trace", ["step", "ratio", "area"],
+                  [(t["step"], t["ratio"], t["area"]) for t in trace])
     ratios = [t["ratio"] for t in trace] + [isoperimetric_report(final).ratio]
     increases = [b - a for a, b in zip(ratios, ratios[1:]) if b - a > 1e-9]
     payload = {
@@ -188,8 +185,7 @@ def cmd_symmetrize(args) -> int:
         "failures": [{"ratio_increase": inc} for inc in increases],
     }
     cols = ["step", "theta", "ratio", "area", "projection_width", "case"]
-    _emit(args, payload, table=(cols, trace))
-    return EXIT_INEQUALITY if increases else EXIT_OK
+    return _emit(args, payload, table=(cols, trace))
 
 
 def cmd_rearrange(args) -> int:
@@ -201,23 +197,19 @@ def cmd_rearrange(args) -> int:
     entry = {"max_slope_coarea_dev": slope.max_rel_dev, "levels": slope.levels_used}
     checks = {"slope_coarea": entry, "profile_energy": [], "energy_factor": []}
     for p in args.p:
-        lhs, rhs = check_profile_energy_bound(field, p)
-        ok = lhs <= rhs * (1.0 + args.tol)
-        checks["profile_energy"].append({"p": p, "lhs": lhs, "rhs": rhs, "ok": ok})
-        if not ok:
-            failures.append({"check": "profile_energy", "p": p, "lhs": lhs, "rhs": rhs})
-        lhs2, rhs2 = check_rearrangement_energy_factor(field, p)
-        ok2 = lhs2 <= rhs2 * (1.0 + args.tol)
-        checks["energy_factor"].append({"p": p, "lhs": lhs2, "rhs": rhs2, "ok": ok2})
-        if not ok2:
-            failures.append({"check": "energy_factor", "p": p, "lhs": lhs2, "rhs": rhs2})
+        for name, check in (("profile_energy", check_profile_energy_bound),
+                            ("energy_factor", check_rearrangement_energy_factor)):
+            lhs, rhs = check(field, p)
+            ok = lhs <= rhs * (1.0 + args.tol)
+            checks[name].append({"p": p, "lhs": lhs, "rhs": rhs, "ok": ok})
+            if not ok:
+                failures.append({"check": name, "p": p, "lhs": lhs, "rhs": rhs})
     payload = {"command": "rearrange", "checks": checks, "failures": failures}
     csv_rows = (
         [{"check": "profile_energy", **row} for row in checks["profile_energy"]]
         + [{"check": "energy_factor", **row} for row in checks["energy_factor"]]
     )
-    _emit(args, payload, table=(["check", "p", "lhs", "rhs", "ok"], csv_rows))
-    return EXIT_INEQUALITY if failures else EXIT_OK
+    return _emit(args, payload, table=(["check", "p", "lhs", "rhs", "ok"], csv_rows))
 
 
 def cmd_sobolev(args) -> int:
@@ -250,10 +242,8 @@ def cmd_sobolev(args) -> int:
         randoms.append({"index": k, "quotient": rep.quotient, "margin": rep.margin})
         if rep.quotient < rep.bound * (1.0 - args.tol):
             failures.append({"index": k, "quotient": rep.quotient, "bound": rep.bound})
-    out = _out_dir(args)
-    if out is not None and ladder:
-        _write_series(out, "bubble_ladder", ["epsilon", "quotient", "bound"],
-                      [(r["epsilon"], r["quotient"], base) for r in ladder])
+    _write_series(args, "bubble_ladder", ["epsilon", "quotient", "bound"],
+                  [(r["epsilon"], r["quotient"], base) for r in ladder])
     payload = {
         "command": "sobolev",
         "p": args.p,
@@ -262,8 +252,7 @@ def cmd_sobolev(args) -> int:
         "random_fields": randoms,
         "failures": failures,
     }
-    _emit(args, payload, table=(["epsilon", "quotient", "bound", "gap"], ladder))
-    return EXIT_INEQUALITY if failures else EXIT_OK
+    return _emit(args, payload, table=(["epsilon", "quotient", "bound", "gap"], ladder))
 
 
 def cmd_moser(args) -> int:
@@ -289,8 +278,7 @@ def cmd_moser(args) -> int:
             failures.append(entries[-1])
     payload = {"command": "moser", "entries": entries, "failures": failures}
     cols = ["index", "functional", "rearranged_functional", "identity_gap", "area", "ok"]
-    _emit(args, payload, table=(cols, entries))
-    return EXIT_INEQUALITY if failures else EXIT_OK
+    return _emit(args, payload, table=(cols, entries))
 
 
 def cmd_counterexample(args) -> int:
@@ -304,10 +292,8 @@ def cmd_counterexample(args) -> int:
     for a, d, f in rows:
         if not 0.0 < d < 1.0:
             failures.append({"a": a, "reason": f"energy deficit {d} outside (0,1)"})
-    out = _out_dir(args)
-    if out is not None:
-        _write_series(out, "counterexample_sweep",
-                      ["a", "energy_deficit", "functional_lower_bound"], rows)
+    _write_series(args, "counterexample_sweep",
+                  ["a", "energy_deficit", "functional_lower_bound"], rows)
     payload = {
         "command": "counterexample",
         "tau0": args.tau0,
@@ -320,8 +306,7 @@ def cmd_counterexample(args) -> int:
         "failures": failures,
     }
     cols = ["a", "energy_deficit", "functional_lower_bound"]
-    _emit(args, payload, table=(cols, payload["points"]))
-    return EXIT_INEQUALITY if failures else EXIT_OK
+    return _emit(args, payload, table=(cols, payload["points"]))
 
 
 def cmd_eig(args) -> int:
@@ -333,18 +318,25 @@ def cmd_eig(args) -> int:
         "report": report.to_json_dict(),
         "failures": [] if ok else [{"margin": report.margin}],
     }
-    out = _out_dir(args)
-    if out is not None:
-        _write_series(out, "eigenvalue", ["h", "lambda", "reference"],
-                      [(report.h, report.lam, report.reference)])
+    _write_series(args, "eigenvalue", ["h", "lambda", "reference"],
+                  [(report.h, report.lam, report.reference)])
     cols = ["h", "lambda", "reference", "margin", "iterations", "concavity_vacuous"]
-    _emit(args, payload, table=(cols, [report.to_json_dict()]))
-    return EXIT_OK if ok else EXIT_INEQUALITY
+    return _emit(args, payload, table=(cols, [report.to_json_dict()]))
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -372,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("isoperim", help="fixed-boundary isoperimetric ratios")
     p.add_argument("--domain", default="halfdisk")
-    p.add_argument("--random", type=int, default=0,
-                   help="verify this many random concave domains instead")
+    p.add_argument("--random", type=_at_least(0), default=0,
+                   help="verify this many random concave domains instead (0: --domain)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_isoperim)
 
@@ -396,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1.0 / 128)
     p.add_argument("--p", type=float, default=1.5)
     p.add_argument("--epsilon", type=float, action="append", default=None)
-    p.add_argument("--random", type=int, default=3)
+    p.add_argument("--random", type=_at_least(0), default=3,
+                   help="random fields after the bubble ladder")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--plot-data", help="directory for CSV series")
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("moser", help="exponential functional identity checks")
     p.add_argument("--domain", default="halfdisk")
     p.add_argument("--h", type=float, default=1.0 / 64)
-    p.add_argument("--random", type=int, default=3)
+    p.add_argument("--random", type=_at_least(1), default=3, help="random fields")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.02)
     p.set_defaults(func=cmd_moser)
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
     except (PreconditionError,) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (DomainValidationError, json.JSONDecodeError, KeyError, OSError) as exc:
+    except (DomainValidationError, ParameterError, json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DegenerateCutError, ConvergenceError) as exc:

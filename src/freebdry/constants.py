@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 __all__ = [
     "gamma_fn",
     "sobolev_best_constant",
@@ -69,7 +71,7 @@ def gamma_fn(x: float) -> float:
 
 def _check_dimension(n: int) -> int:
     if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+        raise ParameterError(f"dimension must be an integer >= 2, got {n!r}")
     return int(n)
 
 
@@ -77,8 +79,8 @@ def critical_exponent(n: int, p: float) -> float:
     """Critical embedding exponent p* = np/(n - p) for 1 <= p < n."""
     n = _check_dimension(n)
     p = float(p)
-    if p < 1.0 or p >= n:
-        raise ValueError(f"critical_exponent requires 1 <= p < n, got p={p}, n={n}")
+    if not 1.0 <= p < n:
+        raise ParameterError(f"critical_exponent requires 1 <= p < n, got p={p}, n={n}")
     return n * p / (n - p)
 
 
@@ -97,8 +99,8 @@ def sobolev_best_constant(n: int, p: float) -> float:
     """
     n = _check_dimension(n)
     p = float(p)
-    if p < 1.0 or p >= n:
-        raise ValueError(f"sobolev_best_constant requires 1 <= p < n, got p={p}, n={n}")
+    if not 1.0 <= p < n:
+        raise ParameterError(f"sobolev_best_constant requires 1 <= p < n, got p={p}, n={n}")
     if p == 1.0:
         return gamma_fn(1.0 + 0.5 * n) ** (1.0 / n) / (math.sqrt(math.pi) * n)
     ratio = (p - 1.0) / (n - p)

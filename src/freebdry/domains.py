@@ -16,6 +16,7 @@ from .errors import DomainValidationError
 from .geometry import FIXED, FREE, LabeledDomain, _edge_lengths, _signed_area
 
 DEFAULT_SEGMENTS = 64
+_RANDOM_SEGMENTS = 24  # of the generated half disks and bite circles
 
 __all__ = [
     "half_disk",
@@ -30,13 +31,11 @@ __all__ = [
 ]
 
 
-def half_disk(radius: float = 1.0, segments: int = DEFAULT_SEGMENTS,
-              free_diameter: bool = True) -> LabeledDomain:
-    """Upper half disk; the straight diameter is the free edge by default."""
+def half_disk(radius: float = 1.0, segments: int = DEFAULT_SEGMENTS) -> LabeledDomain:
+    """Upper half disk; the straight diameter is the free edge."""
     ang = np.linspace(0.0, math.pi, segments + 1)
     arc = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
-    labels = [FIXED] * segments + [FREE if free_diameter else FIXED]
-    return LabeledDomain(arc, labels)
+    return LabeledDomain(arc, [FIXED] * segments + [FREE])
 
 
 def disk(radius: float = 1.0, segments: int = DEFAULT_SEGMENTS) -> LabeledDomain:
@@ -94,13 +93,13 @@ BUILTIN_NAMES = (
 )
 
 
-def builtin_domain(name: str, segments: int = DEFAULT_SEGMENTS) -> LabeledDomain:
+def builtin_domain(name: str) -> LabeledDomain:
     """Look up a named builder; used by the CLI's ``--domain`` flag."""
     key = name.strip().lower()
     if key == "halfdisk":
-        return half_disk(segments=segments)
+        return half_disk()
     if key == "disk":
-        return disk(segments=segments)
+        return disk()
     if key == "square":
         return unit_square(free_bottom=False)
     if key == "square-bottom-free":
@@ -268,7 +267,7 @@ def _point_in_convex(poly: np.ndarray, p) -> bool:
     return True
 
 
-def random_concave_domain(rng: np.random.Generator, segments: int = 24) -> LabeledDomain:
+def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
     """Random domain whose free chain is concave by construction.
 
     A random convex polygon gets a convex bite removed across its boundary;
@@ -280,11 +279,11 @@ def random_concave_domain(rng: np.random.Generator, segments: int = 24) -> Label
     for _ in range(60):
         mode = rng.uniform()
         if mode < 0.18:
-            dom = half_disk(radius=1.0, segments=max(16, segments))
+            dom = half_disk(radius=1.0, segments=_RANDOM_SEGMENTS)
         elif mode < 0.45:
             dom = _random_chord_cap(rng)
         else:
-            dom = _random_bite_domain(rng, segments)
+            dom = _random_bite_domain(rng, _RANDOM_SEGMENTS)
         if dom is None:
             continue
         scale = rng.uniform(0.5, 2.0)

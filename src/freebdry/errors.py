@@ -5,6 +5,10 @@ class DomainValidationError(ValueError):
     """A polygonal domain (or grid request) violates a structural invariant."""
 
 
+class ParameterError(ValueError):
+    """A numeric parameter lies outside the range a closed form is defined on."""
+
+
 class PreconditionError(ValueError):
     """An operation was called on inputs outside its admissible class."""
 

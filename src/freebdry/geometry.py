@@ -780,24 +780,19 @@ def symmetrization_step(domain: LabeledDomain, theta: float) -> SymmetrizationRe
     return SymmetrizationResult("reflected", new_domain, cut, ratio_before, ratio_after)
 
 
-def symmetrize_iterate(
-    domain: LabeledDomain,
-    steps: int = 50,
-    theta0: float = GOLDEN_ANGLE,
-    min_decrease: float = 1e-6,
-) -> tuple[LabeledDomain, list[dict]]:
+def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledDomain, list[dict]]:
     """Drive repeated reflection steps through multiples of the golden angle.
 
-    Cut angles k * theta0 (mod pi) realize an equidistributed angle sequence.
-    Steps with degenerate cut geometry are skipped but recorded; the run
-    stops early once an executed step improves the ratio by less than
-    ``min_decrease``.  Returns the final domain and a per-step trace carrying
-    the ratio, the area, and the width of the domain's x-projection.
+    Cut angles k * GOLDEN_ANGLE (mod pi) realize an equidistributed angle
+    sequence.  Steps with degenerate cut geometry are skipped but recorded;
+    the run stops early once an executed step improves the ratio by less
+    than 1e-6.  Returns the final domain and a per-step trace carrying the
+    ratio, the area, and the width of the domain's x-projection.
     """
     trace: list[dict] = []
     current = domain
     for k in range(1, steps + 1):
-        theta = (k * theta0) % math.pi
+        theta = (k * GOLDEN_ANGLE) % math.pi
         record = {
             "step": k,
             "theta": theta,
@@ -818,7 +813,7 @@ def symmetrize_iterate(
         if result.case == "reflected":
             improved = result.ratio_before - result.ratio_after
             current = result.domain
-            if improved < min_decrease:
+            if improved < 1e-6:
                 break
     return current, trace
 
@@ -828,7 +823,18 @@ def symmetrize_iterate(
 # ---------------------------------------------------------------------------
 
 _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # E, W, N, S as (di, dj) offsets
-FACE_NONE, FACE_FIXED, FACE_FREE = 0, 1, 2
+FACE_FIXED, FACE_FREE = 1, 2  # an interior face is 0
+
+
+def _shifted(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
+    """The neighbour at offset (di, dj) of every cell of a 2-D array:
+    ``out[i, j] = a[i + di, j + dj]``, and ``fill`` where that neighbour is
+    off the grid.  ``di`` and ``dj`` are -1, 0 or 1."""
+    ny, nx = a.shape
+    out = np.full_like(a, fill)
+    out[max(-di, 0):ny - max(di, 0), max(-dj, 0):nx - max(dj, 0)] = \
+        a[max(di, 0):ny + min(di, 0), max(dj, 0):nx + min(dj, 0)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -909,8 +915,8 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
     inside cell from the outside is labeled fixed or free by the nearest
     boundary edge.
     """
-    if h <= 0.0:
-        raise DomainValidationError("grid spacing must be positive")
+    if not h > 0.0:
+        raise DomainValidationError(f"grid spacing must be positive, got h={h}")
     x0, y0, x1, y1 = domain.bbox
     if min(x1 - x0, y1 - y0) < 8.0 * h:
         raise DomainValidationError(
@@ -930,33 +936,27 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
         raise DomainValidationError("rasterization produced no interior cells")
 
     face_labels = np.zeros((ny, nx, 4), dtype=np.int8)
-    padded = np.zeros((ny + 2, nx + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
     face_pts, face_idx = [], []
     for dcode, (di, dj) in enumerate(_DIRS):
-        nbr = padded[1 + di : ny + 1 + di, 1 + dj : nx + 1 + dj]
-        bnd = mask & ~nbr
-        ii, jj = np.nonzero(bnd)
-        if len(ii) == 0:
-            continue
+        ii, jj = np.nonzero(mask & ~_shifted(mask, di, dj, False))
         fx = xs[jj] + dj * 0.5 * h
         fy = ys[ii] + di * 0.5 * h
         face_pts.append(np.column_stack([fx, fy]))
         face_idx.append((dcode, ii, jj))
-    if face_pts:
-        allpts = np.vstack(face_pts)
-        best = np.full(len(allpts), np.inf)
-        lab = np.full(len(allpts), FACE_FIXED, dtype=np.int8)
-        for a, b, lk in domain._edges():
-            dseg = _point_segment_distance(allpts, a, b)
-            closer = dseg < best
-            if closer.any():
-                best[closer] = dseg[closer]
-                lab[closer] = FACE_FREE if lk == FREE else FACE_FIXED
-        pos = 0
-        for dcode, ii, jj in face_idx:
-            n_faces = len(ii)
-            face_labels[ii, jj, dcode] = lab[pos : pos + n_faces]
-            pos += n_faces
+    # a nonempty mask has a boundary face, so there is a point to label
+    allpts = np.vstack(face_pts)
+    best = np.full(len(allpts), np.inf)
+    lab = np.full(len(allpts), FACE_FIXED, dtype=np.int8)
+    for a, b, lk in domain._edges():
+        dseg = _point_segment_distance(allpts, a, b)
+        closer = dseg < best
+        if closer.any():
+            best[closer] = dseg[closer]
+            lab[closer] = FACE_FREE if lk == FREE else FACE_FIXED
+    pos = 0
+    for dcode, ii, jj in face_idx:
+        n_faces = len(ii)
+        face_labels[ii, jj, dcode] = lab[pos : pos + n_faces]
+        pos += n_faces
 
     return RasterGrid(domain=domain, h=float(h), origin=(ox, oy), mask=mask, face_labels=face_labels)

@@ -111,15 +111,15 @@ def talenti_profile(p: float, rho) -> np.ndarray | float:
 
 
 def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
-                   center=None, margin_fraction: float = 0.1,
                    grid=None) -> ScalarField:
     """Concentration probe: the radial extremal profile at scale ``epsilon``,
-    truncated in value so it vanishes at distance >= R from the center,
+    centered at the arc-length midpoint c of the free chain and truncated in
+    value so it vanishes at distance >= R from the center,
 
         u(x) = max( U(|x - c|/eps) - U(R/eps), 0 ),
 
     with R chosen inside the fixed-boundary clearance of the center (reduced
-    by ``margin_fraction`` of the inradius).  Subtracting the profile value
+    by a tenth of the inradius).  Subtracting the profile value
     instead of multiplying by a cutoff leaves the gradient untouched where u
     is positive, so the probe's quotient approaches the sharp bound as
     ``epsilon`` shrinks.  By construction u = 0 within the margin distance of
@@ -130,19 +130,17 @@ def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
         raise PreconditionError("bubble scale must be positive")
     if grid is None:
         grid = rasterize(domain, h)
-    if center is None:
-        chain = domain.free_chain_points(3)
-        if len(chain) == 0:
-            raise PreconditionError("no free boundary to center the bubble on")
-        center = chain[1]  # arc-length midpoint of the free chain
-    center = np.asarray(center, dtype=float)
+    chain = domain.free_chain_points(3)
+    if len(chain) == 0:
+        raise PreconditionError("no free boundary to center the bubble on")
+    center = chain[1]  # arc-length midpoint of the free chain
 
     if domain.boundary_length(FIXED) > 0.0:
         clearance = float(domain.distance_to_label(center[None, :], FIXED)[0])
     else:
         clearance = float(domain.boundary_distance(center[None, :])[0])
     X, Y = grid.cell_centers()
-    R = clearance - margin_fraction * grid.inradius
+    R = clearance - 0.1 * grid.inradius
     if R <= 2.0 * epsilon:
         raise PreconditionError(
             f"bubble scale {epsilon} too large for clearance {clearance}"
@@ -175,10 +173,10 @@ class MoserReport:
         return abs(self.functional - self.rearranged_functional) / self.functional
 
 
-def moser_report(field: ScalarField, grad_tol: float = 0.02) -> MoserReport:
+def moser_report(field: ScalarField) -> MoserReport:
     """Exponential functional sum exp(2 pi u^2) h^2 of a unit-energy field.
 
-    Requires the Dirichlet energy to be at most 1 (+``grad_tol``).  The
+    Requires the Dirichlet energy to be at most 1.02.  The
     comparison value is the same functional of the field's own radial
     rearrangement on the equal-area disk, which by equimeasurability carries
     the same value up to grid error and is the quantity controlled by the
@@ -186,7 +184,7 @@ def moser_report(field: ScalarField, grad_tol: float = 0.02) -> MoserReport:
     """
     beta = moser_trudinger_beta(2)
     grad2 = gradient_lp_norm(field, 2.0)
-    if grad2**2 > 1.0 + grad_tol:
+    if grad2**2 > 1.0 + 0.02:
         raise PreconditionError(
             f"Dirichlet energy {grad2**2:.4f} exceeds the unit constraint"
         )
@@ -240,12 +238,6 @@ class CounterexampleSpec:
     def lam(self) -> float:
         """The concentration scale itself; 0.0 when it underflows."""
         return math.exp(-self.log_inv_lambda) if self.log_inv_lambda < 745 else 0.0
-
-
-# area enclosed between the parabola y = a x^2 and its chord at height
-# a^{1/3} over |x| <= a^{-1/3} is exactly 4/3, independent of a, so the
-# region plus any cap above the chord can never have area below 4/3
-MIN_PARABOLA_REGION_AREA = 4.0 / 3.0
 
 
 def counterexample_domain(spec: CounterexampleSpec, segments: int = 64,
@@ -316,8 +308,6 @@ def counterexample_blowup(specs) -> list[BlowupPoint]:
     """
     out = []
     for spec in specs:
-        if not isinstance(spec, CounterexampleSpec):
-            spec = CounterexampleSpec(*spec) if isinstance(spec, tuple) else CounterexampleSpec(spec)
         log_term = math.log(spec.a / spec.tau0)
         deficit = spec.tau0 * log_term / (math.pi * spec.log_inv_lambda)
         lower = math.pi * math.exp(2.0 * spec.tau0 * log_term / math.pi)

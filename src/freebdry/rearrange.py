@@ -23,18 +23,29 @@ Gradients are plain central differences, falling back to one-sided at cells
 with a missing neighbor; no boundary condition is imposed on the gradient
 (the underlying integral inequalities hold for any smooth nonnegative
 function).  Contour extraction mirrors values across boundary faces so level
-curves never run along the boundary itself.
+curves never run along the boundary itself.  Both find a cell's neighbours
+with ``geometry._shifted`` on the face-direction table ``_DIRS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import FIXED, FACE_FIXED, LabeledDomain, RasterGrid, rasterize, require_concave
+from .geometry import (
+    _DIRS,
+    FIXED,
+    FACE_FIXED,
+    LabeledDomain,
+    RasterGrid,
+    _shifted,
+    rasterize,
+    require_concave,
+)
 
 __all__ = [
     "ScalarField",
@@ -55,7 +66,10 @@ __all__ = [
 
 
 class ScalarField:
-    """Nonnegative function values at the inside cell centers of a grid."""
+    """Nonnegative function values at the inside cell centers of a grid.
+
+    The gradient, its modulus and the mirror-extended values and modulus
+    that contouring reads are computed on first use and kept on the field."""
 
     def __init__(self, grid: RasterGrid, values):
         vals = np.asarray(values, dtype=float)
@@ -69,16 +83,11 @@ class ScalarField:
             raise ValueError("field values must be nonnegative")
         self.grid = grid
         self.values = np.where(grid.mask, np.clip(vals, 0.0, None), 0.0)
-        self._grad = None
-        self._ext_values = None
-        self._ext_grad = None
         self._contours = {}  # level -> (segment lengths, |grad u| at midpoints)
 
     @classmethod
     def from_function(cls, domain: LabeledDomain, h: float, fn) -> "ScalarField":
-        grid = rasterize(domain, h)
-        X, Y = grid.cell_centers()
-        return cls(grid, np.asarray(fn(X, Y), dtype=float))
+        return cls.on_grid(rasterize(domain, h), fn)
 
     @classmethod
     def on_grid(cls, grid: RasterGrid, fn) -> "ScalarField":
@@ -116,28 +125,19 @@ class ScalarField:
 
     # -- gradient -------------------------------------------------------------
 
+    @cached_property
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell (du/dx, du/dy): central differences where both neighbors
-        exist, one-sided at cells with a missing neighbor, zero if isolated."""
-        if self._grad is None:
-            self._grad = tuple(self._axis_derivative(ax) for ax in (1, 0))
-        return self._grad
+        exist, one-sided at cells with a missing neighbor, zero if isolated.
+        x pairs the E/W neighbours of ``_DIRS``, y the N/S ones."""
+        return self._axis_derivative(*_DIRS[0:2]), self._axis_derivative(*_DIRS[2:4])
 
-    def _axis_derivative(self, axis: int) -> np.ndarray:
+    def _axis_derivative(self, fwd: tuple[int, int], bwd: tuple[int, int]) -> np.ndarray:
         mask = self.grid.mask
         v = self.values
         h = self.grid.h
-        fwd_v = np.roll(v, -1, axis=axis)
-        bwd_v = np.roll(v, 1, axis=axis)
-        fwd_ok = np.roll(mask, -1, axis=axis) & mask
-        bwd_ok = np.roll(mask, 1, axis=axis) & mask
-        # roll wraps around; kill wrapped entries
-        if axis == 1:
-            fwd_ok[:, -1] = False
-            bwd_ok[:, 0] = False
-        else:
-            fwd_ok[-1, :] = False
-            bwd_ok[0, :] = False
+        fwd_v, bwd_v = (_shifted(v, *d, 0.0) for d in (fwd, bwd))
+        fwd_ok, bwd_ok = (_shifted(mask, *d, False) & mask for d in (fwd, bwd))
         out = np.zeros_like(v)
         both = fwd_ok & bwd_ok
         out[both] = (fwd_v[both] - bwd_v[both]) / (2.0 * h)
@@ -148,24 +148,30 @@ class ScalarField:
         out[~mask] = 0.0
         return out
 
+    @cached_property
     def grad_magnitude(self) -> np.ndarray:
-        gx, gy = self.gradient()
-        return np.hypot(gx, gy)
+        return np.hypot(*self.gradient)
+
+    @cached_property
+    def mirrored_values(self) -> np.ndarray:
+        """The values extended one cell past the mask (``_mirror_extended``)."""
+        return _mirror_extended(self, self.values)
+
+    @cached_property
+    def mirrored_grad(self) -> np.ndarray:
+        """|grad u| extended one cell past the mask (``_mirror_extended``)."""
+        return _mirror_extended(self, self.grad_magnitude)
 
     # -- fixed-boundary trace -----------------------------------------------------
-
-    def fixed_adjacent_values(self) -> np.ndarray:
-        has_fixed = (self.grid.face_labels == FACE_FIXED).any(axis=2) & self.grid.mask
-        return self.values[has_fixed]
 
     def fixed_trace_ok(self) -> bool:
         """Whether the field vanishes on the fixed boundary, up to the value a
         smooth function vanishing at the true boundary can take one cell in."""
-        vals = self.fixed_adjacent_values()
+        vals = self.values[(self.grid.face_labels == FACE_FIXED).any(axis=2) & self.grid.mask]
         if vals.size == 0:
             return True
         vmax = self.max_value
-        gmax = float(self.grad_magnitude()[self.grid.mask].max())
+        gmax = float(self.grad_magnitude[self.grid.mask].max())
         allowance = max(1e-10 * vmax, 2.0 * self.grid.h * gmax)
         return float(np.abs(vals).max()) <= allowance
 
@@ -203,21 +209,20 @@ class DecreasingProfile:
         out = np.interp(np.asarray(s, dtype=float), self._breaks, self.levels)
         return float(out) if np.isscalar(s) else out
 
-    def slope(self, s: float, window: float | None = None) -> float:
+    def slope(self, s: float) -> float:
         """Local slope at measure coordinate ``s``.
 
         A least-squares line is fitted to the profile over a window around
-        ``s``; the default window scales like the geometric mean of the cell
-        area and the total measure, which balances the cell-counting
-        fluctuations of the sorted values against curvature bias.
+        ``s``; the window scales like the geometric mean of the cell area and
+        the total measure, which balances the cell-counting fluctuations of
+        the sorted values against curvature bias.
         """
         total = self.total_measure
-        if window is None:
-            # the sorted values carry cell-counting (lattice shell) noise that
-            # grows with the super-level measure, so widen the fit window with s
-            base = math.sqrt(self.cell_area * total)
-            window = base * (0.75 + 2.25 * math.sqrt(max(s, 0.0) / total))
-            window = max(window, 4.0 * self.cell_area)
+        # the sorted values carry cell-counting (lattice shell) noise that
+        # grows with the super-level measure, so widen the fit window with s
+        base = math.sqrt(self.cell_area * total)
+        window = base * (0.75 + 2.25 * math.sqrt(max(s, 0.0) / total))
+        window = max(window, 4.0 * self.cell_area)
         lo = max(0.0, s - window)
         hi = min(total, s + window)
         if hi <= lo:
@@ -250,11 +255,8 @@ def radial_rearrangement(field: ScalarField) -> ScalarField:
     ``equal_area_disk``, so every field on one grid shares one disk.
     """
     profile = decreasing_rearrangement(field)
-    grid = field.grid.equal_area_disk
-    X, Y = grid.cell_centers()
-    rr2 = X * X + Y * Y
-    values = profile.value(math.pi * rr2)
-    return ScalarField(grid, np.asarray(values))
+    return ScalarField.on_grid(field.grid.equal_area_disk,
+                               lambda X, Y: profile.value(math.pi * (X * X + Y * Y)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +265,15 @@ def radial_rearrangement(field: ScalarField) -> ScalarField:
 
 def _mirror_extended(field: ScalarField, quantity: np.ndarray) -> np.ndarray:
     """Extend a per-cell quantity one cell past the mask by mirroring: each
-    outside cell adjacent to the mask gets the mean of its inside neighbors.
-    Cells further out become NaN."""
+    outside cell adjacent to the mask gets the mean of its inside neighbors,
+    summed in the order S, N, W, E.  Cells further out become NaN."""
     mask = field.grid.mask
     ext = np.where(mask, quantity, 0.0)
     acc = np.zeros_like(ext)
     cnt = np.zeros(mask.shape, dtype=int)
-    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        nb_val = np.roll(ext, shift, axis=axis)
-        nb_in = np.roll(mask, shift, axis=axis)
-        if axis == 0:
-            edge = slice(0, 1) if shift == 1 else slice(-1, None)
-            nb_in[edge, :] = False
-        else:
-            edge = slice(0, 1) if shift == 1 else slice(-1, None)
-            nb_in[:, edge] = False
-        take = ~mask & nb_in
-        acc[take] += nb_val[take]
+    for di, dj in reversed(_DIRS):
+        take = ~mask & _shifted(mask, di, dj, False)
+        acc[take] += _shifted(ext, di, dj, 0.0)[take]
         cnt[take] += 1
     out = np.full(mask.shape, np.nan)
     out[mask] = quantity[mask]
@@ -343,9 +337,7 @@ def _marching_blocks(field: ScalarField) -> tuple[np.ndarray, np.ndarray, np.nda
     four finite corners, not all equal.  Returns, in row-major block order,
     the flat index into the extended array of each block's SW corner and
     its corner min and max."""
-    if field._ext_values is None:
-        field._ext_values = _mirror_extended(field, field.values)
-    ext = field._ext_values
+    ext = field.mirrored_values
     nx = ext.shape[1]
     a, b, c, d = ext[:-1, :-1], ext[:-1, 1:], ext[1:, 1:], ext[1:, :-1]
     lo = np.minimum(np.minimum(a, b), np.minimum(c, d)).ravel()
@@ -365,8 +357,8 @@ def _contour_chunk(field: ScalarField, blocks: tuple[np.ndarray, ...],
     case-by-case pass bit for bit.
     """
     sw, lo, hi = blocks
-    ext = field._ext_values.ravel()
-    ny, nx = field._ext_values.shape
+    ny, nx = field.mirrored_values.shape
+    ext = field.mirrored_values.ravel()
     h = field.grid.h
     xs = field.grid.origin[0] + (np.arange(nx) + 0.5) * h
     ys = field.grid.origin[1] + (np.arange(ny) + 0.5) * h
@@ -471,9 +463,7 @@ def level_stats(field: ScalarField, t: float, p: float = 2.0) -> LevelStats:
 def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of |grad u| at arbitrary points, using the
     mirror-extended array so near-boundary samples stay defined."""
-    if field._ext_grad is None:
-        field._ext_grad = _mirror_extended(field, field.grad_magnitude())
-    ext = field._ext_grad
+    ext = field.mirrored_grad
     ny, nx = ext.shape
     h = field.grid.h
     fx = (points[:, 0] - field.grid.origin[0]) / h - 0.5
@@ -525,34 +515,38 @@ class SlopeCoareaReport:
     levels_used: int
 
 
-def check_slope_coarea_identity(field: ScalarField, levels=None) -> SlopeCoareaReport:
-    """Compare 1/|profile slope| with the contour integral of ds/|grad u|
-    level by level; they agree for smooth fields by the coarea formula.
-
-    Near-critical levels are skipped.  Returns per-level entries and the
-    maximum relative deviation; raises ``PreconditionError`` when no level
-    was usable, since a check over no level shows nothing.
-    """
-    if levels is None:
-        levels = quantile_levels(field, 16)
+def _usable_levels(field: ScalarField, levels: np.ndarray) -> list[tuple]:
+    """(level, stats, super-level measure, profile slope) of each level of
+    ``levels`` whose contour is usable: strictly inside the field's range,
+    nonempty and away from critical points (``LevelStats.reliable``)."""
     _fill_contours(field, levels)
     profile = decreasing_rearrangement(field)
-    entries = []
-    for t in np.atleast_1d(levels):
-        t = float(t)
+    usable = []
+    for t in map(float, levels):
         try:
             ls = level_stats(field, t)
         except PreconditionError:
             continue
-        if not ls.reliable or ls.coarea_integral <= 0.0:
-            continue
-        s = distribution_function(field, t)
-        slope = profile.slope(s)
-        if slope == 0.0:
-            continue
-        lhs = 1.0 / abs(slope)
-        rhs = ls.coarea_integral
-        entries.append((t, lhs, rhs, abs(lhs - rhs) / rhs))
+        if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0:
+            s = distribution_function(field, t)
+            usable.append((t, ls, s, profile.slope(s)))
+    return usable
+
+
+def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
+    """Compare 1/|profile slope| with the contour integral of ds/|grad u| at
+    16 quantile levels; they agree for smooth fields by the coarea formula.
+
+    Unusable levels and levels of zero slope are skipped.  Returns per-level
+    entries and the maximum relative deviation; raises ``PreconditionError``
+    when no level was usable, since a check over no level shows nothing.
+    """
+    entries = []
+    for t, ls, _, slope in _usable_levels(field, quantile_levels(field, 16)):
+        if slope != 0.0:
+            lhs = 1.0 / abs(slope)
+            rhs = ls.coarea_integral
+            entries.append((t, lhs, rhs, abs(lhs - rhs) / rhs))
     if not entries:
         raise PreconditionError("no usable level for the slope/coarea identity")
     max_dev = max(e[3] for e in entries)
@@ -588,28 +582,15 @@ def check_profile_energy_bound(field: ScalarField, p: float,
     """
     if p <= 1.0:
         raise PreconditionError("the profile energy bound needs p > 1")
-    levels = quantile_levels(field, n_levels)
-    _fill_contours(field, levels)
-    profile = decreasing_rearrangement(field)
-    zs, integrand = [], []
-    for t in levels:
-        try:
-            ls = level_stats(field, float(t))
-        except PreconditionError:
-            continue
-        if not ls.reliable or ls.surface <= 0.0:
-            continue
-        z = distribution_function(field, float(t))
-        slope = profile.slope(z)
-        zs.append(z)
-        integrand.append(abs(slope) ** p * ls.surface ** p)
-    if len(zs) < 2:
+    usable = _usable_levels(field, quantile_levels(field, n_levels))
+    if len(usable) < 2:
         raise PreconditionError(
-            f"the profile energy bound needs 2 usable levels, found {len(zs)}"
+            f"the profile energy bound needs 2 usable levels, found {len(usable)}"
         )
+    zs = np.array([z for _, _, z, _ in usable])
     order = np.argsort(zs)
-    zs = np.asarray(zs)[order]
-    integrand = np.asarray(integrand)[order]
+    zs = zs[order]
+    integrand = np.array([abs(slope) ** p * ls.surface ** p for _, ls, _, slope in usable])[order]
     lhs = float(np.trapezoid(integrand, zs))
     rhs = gradient_lp_norm(field, p) ** p
     return lhs, rhs
@@ -638,7 +619,7 @@ def gradient_lp_norm(field: ScalarField, p: float) -> float:
     """( sum |grad u|^p h^2 )^{1/p} over the inside cells."""
     if p < 1.0:
         raise PreconditionError("gradient norm needs p >= 1")
-    g = field.grad_magnitude()[field.grid.mask]
+    g = field.grad_magnitude[field.grid.mask]
     return float((g ** p).sum() * field.grid.cell_area) ** (1.0 / p)
 
 
@@ -648,9 +629,8 @@ def gradient_lp_norm(field: ScalarField, p: float) -> float:
 
 def random_admissible_field(domain: LabeledDomain, h: float,
                             rng: np.random.Generator,
-                            n_bumps: int = 3,
                             grid: RasterGrid | None = None) -> ScalarField:
-    """Sum of Gaussian bumps tapered to zero near the fixed boundary.
+    """Sum of three Gaussian bumps tapered to zero near the fixed boundary.
 
     The taper is a quintic smoothstep of the distance to the fixed edges, so
     the field is admissible (vanishing fixed-boundary trace) and smooth
@@ -664,7 +644,7 @@ def random_admissible_field(domain: LabeledDomain, h: float,
     pts = np.column_stack([X.ravel(), Y.ravel()])
     diam = domain.diameter
     vals = np.zeros(len(pts))
-    for _ in range(n_bumps):
+    for _ in range(3):
         for _try in range(50):
             c = np.array([
                 rng.uniform(X.min(), X.max()),

@@ -32,6 +32,7 @@ from .geometry import (
     FACE_FIXED,
     LabeledDomain,
     RasterGrid,
+    _shifted,
     rasterize,
     require_concave,
 )
@@ -63,18 +64,13 @@ class SpectralProblem:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def has_fixed_face(self) -> bool:
-        return bool((self.grid.face_labels == FACE_FIXED).any())
-
 
 def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
     """Assemble the mixed-boundary five-point Laplacian on the domain's
     grid of spacing ``h``."""
     grid = rasterize(domain, h)
-    mask = grid.mask
-    ny, nx = mask.shape
-    index = -np.ones((ny, nx), dtype=np.int64)
-    ii, jj = np.nonzero(mask)
+    index = -np.ones(grid.shape, dtype=np.int64)
+    ii, jj = np.nonzero(grid.mask)
     index[ii, jj] = np.arange(len(ii))
     cells = np.column_stack([ii, jj])
     h2 = grid.h * grid.h
@@ -82,10 +78,7 @@ def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
     rows, cols, vals = [], [], []
     diag = np.zeros(len(ii))
     for dcode, (di, dj) in enumerate(_DIRS):
-        ni, nj = ii + di, jj + dj
-        in_bounds = (ni >= 0) & (ni < ny) & (nj >= 0) & (nj < nx)
-        nbr_idx = np.full(len(ii), -1, dtype=np.int64)
-        nbr_idx[in_bounds] = index[ni[in_bounds], nj[in_bounds]]
+        nbr_idx = _shifted(index, di, dj, -1)[ii, jj]
         interior = nbr_idx >= 0
         diag[interior] += 1.0
         rows.append(np.nonzero(interior)[0])
@@ -117,7 +110,7 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
     which makes the operator positive definite.  Returns (eigenvalue,
     eigenvector, iterations).
     """
-    if not problem.has_fixed_face():
+    if not (problem.grid.face_labels == FACE_FIXED).any():
         raise PreconditionError(
             "operator is singular without any fixed boundary face"
         )

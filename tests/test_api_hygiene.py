@@ -1,8 +1,9 @@
 """Package API hygiene, checked with the standard library's ``ast``.
 
 Every name a module lists in ``__all__`` exists, every name the package
-root imports resolves to the module's own object, and no module imports a
-name it never uses (a leftover of deleted code).
+root imports resolves to the module's own object, no module imports a name
+it never uses, and every name a module defines at its top level is read
+somewhere in the package or its tests (each a leftover of deleted code).
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 import freebdry
 
 SRC = Path(freebdry.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -57,3 +59,50 @@ def test_no_unused_imports(name):
 def test_unused_import_detector_sees_a_leftover():
     tree = ast.parse("import math\nfrom numpy import array, zeros\nx = zeros(3)\n")
     assert unused_imports(tree) == ["array", "math"]
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Functions, classes and assigned names a module defines at its top
+    level, dunder names such as ``__all__`` aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(trees) -> set[str]:
+    """Names read as a variable or as an attribute anywhere in ``trees``; a
+    re-export by import alone is not a read."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    return reads
+
+
+def unread_names(module: ast.Module, trees) -> list[str]:
+    return sorted(top_level_names(module) - read_names(trees))
+
+
+def test_every_top_level_name_is_read():
+    trees = [_tree(p) for p in (*SRC.glob("*.py"), *TESTS.glob("*.py"))]
+    unread = {name: unread_names(_tree(SRC / f"{name}.py"), trees) for name in MODULES}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_unread_name_detector_sees_a_leftover():
+    module = ast.parse(
+        "MIN_PARABOLA_REGION_AREA = 4.0 / 3.0\n"
+        "SEGMENTS: int = 64\n"
+        "def area(a):\n    return a\n"
+        "class Spec:\n    pass\n"
+    )
+    caller = ast.parse("from m import area, Spec\nx = area(SEGMENTS)\n")
+    assert unread_names(module, [module, caller]) == ["MIN_PARABOLA_REGION_AREA", "Spec"]

@@ -14,6 +14,14 @@ def run_cli(args):
     return main(args)
 
 
+def exit_code(args):
+    """The exit code in-process, also when the parser refuses the arguments."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_constants_values(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = run_cli(["constants", "--n", "2", "--p", "1", "--quiet", "--out", str(out)])
@@ -211,6 +219,38 @@ def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "2"], ["--n", "1"], ["--p", "nan"], ["--n", "3", "--p", "0.5"],
+], ids=["p-equals-n", "n-below-2", "p-nan", "p-below-1"])
+def test_bad_constants_argument_exits_2(capsys, argv):
+    assert run_cli(["constants", *argv, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("campaign", ["sobolev", "rearrange", "moser", "eig"])
+def test_bad_grid_spacing_exits_2(capsys, campaign, h):
+    assert run_cli([campaign, "--h", h, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["isoperim", "--random", "-5"], 2),
+    (["isoperim", "--random", "0"], 0),   # checks --domain instead
+    (["sobolev", "--random", "-1", "--h", "0.0625"], 2),
+    (["sobolev", "--random", "0", "--h", "0.0625"], 0),   # the bubble ladder only
+    (["moser", "--random", "-1", "--h", "0.0625"], 2),
+    (["moser", "--random", "0", "--h", "0.0625"], 2),
+    (["moser", "--random", "1", "--h", "0.0625"], 0),
+])
+def test_random_count_bounds(capsys, argv, code):
+    # a campaign over nothing would pass vacuously, so the parser refuses it
+    assert exit_code(argv + ["--quiet"]) == code
+    if code == 2:
+        assert "argument --random: must be at least" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["isoperim", "--bogus"])
@@ -361,9 +401,10 @@ def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
     (["sobolev", "--h", "0.5"], 2),
     (["sobolev", "--h", "0.5", "--random", "0"], 2),
     (["moser", "--h", "0.5"], 2),
-    (["moser", "--h", "0.5", "--random", "0"], 0),
+    (["moser", "--h", "0.5", "--random", "0"], 2),
 ])
 def test_field_campaign_exit_codes(argv, code):
     # the grid is built by the first field that needs it, so an input check
-    # that ran before rasterization still decides the exit code
-    assert run_cli(argv + ["--quiet"]) == code
+    # that ran before rasterization still decides the exit code; a campaign
+    # over no field is refused by the parser
+    assert exit_code(argv + ["--quiet"]) == code
