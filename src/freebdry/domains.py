@@ -57,11 +57,10 @@ def l_shape() -> LabeledDomain:
     return LabeledDomain(pts, [FIXED] * 6)
 
 
-def right_trapezoid(free_bottom: bool = True) -> LabeledDomain:
-    """Vertices (0,0), (2,0), (2,1), (0,2); bottom edge free by default."""
+def right_trapezoid() -> LabeledDomain:
+    """Vertices (0,0), (2,0), (2,1), (0,2); the bottom edge is free."""
     pts = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 2.0)]
-    labels = [FREE if free_bottom else FIXED, FIXED, FIXED, FIXED]
-    return LabeledDomain(pts, labels)
+    return LabeledDomain(pts, [FREE, FIXED, FIXED, FIXED])
 
 
 def square_annulus(outer: float = 2.0, inner: float = 1.0,

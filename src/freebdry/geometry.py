@@ -132,6 +132,32 @@ def _check_simple(pts: np.ndarray, scale: float) -> None:
             )
 
 
+def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One boundary loop, the outer polygon or a hole, validated: finite
+    coordinates, at least 3 vertices, one fixed/free label per edge (all
+    fixed for ``None``), a non-degenerate area and no crossing edges.
+    Returns the vertices turned counterclockwise, with the edge labels
+    remapped to match."""
+    pts = _as_points(vertices)
+    if len(pts) < 3:
+        raise DomainValidationError(f"a {what} needs at least 3 vertices")
+    labels = [FIXED] * len(pts) if labels is None else [str(l).lower() for l in labels]
+    if len(labels) != len(pts):
+        raise DomainValidationError(f"need exactly one label per {what} edge")
+    if any(l not in (FIXED, FREE) for l in labels):
+        raise DomainValidationError(f"labels must be '{FIXED}' or '{FREE}'")
+    scale = float(np.max(np.ptp(pts, axis=0)))
+    signed = _signed_area(pts)
+    if abs(signed) <= 1e-14 * scale * scale:
+        raise DomainValidationError(f"{what} area is degenerate")
+    if signed < 0.0:
+        m = len(pts)
+        pts = pts[::-1].copy()
+        labels = [labels[(m - 2 - j) % m] for j in range(m)]
+    _check_simple(pts, scale)
+    return pts, tuple(labels)
+
+
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Even-odd ray casting, vectorized over ``points`` (N, 2)."""
     px, py = points[:, 0], points[:, 1]
@@ -238,54 +264,22 @@ class LabeledDomain:
     __slots__ = ("vertices", "labels", "holes", "hole_labels", "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
-        pts = _as_points(vertices)
-        if len(pts) < 3:
-            raise DomainValidationError("a polygon needs at least 3 vertices")
-        labels = [str(l).lower() for l in labels]
-        if len(labels) != len(pts):
-            raise DomainValidationError("need exactly one label per edge")
-        if any(l not in (FIXED, FREE) for l in labels):
-            raise DomainValidationError(f"labels must be '{FIXED}' or '{FREE}'")
-
-        scale = float(np.max(np.ptp(pts, axis=0)))
-        signed = _signed_area(pts)
-        if abs(signed) <= 1e-14 * scale * scale:
-            raise DomainValidationError("polygon area is degenerate")
-        if signed < 0.0:  # normalize to counterclockwise, remapping edge labels
-            m = len(pts)
-            pts = pts[::-1].copy()
-            labels = [labels[(m - 2 - j) % m] for j in range(m)]
-        _check_simple(pts, scale)
-
+        pts, labels = _checked_loop(vertices, labels, "polygon")
         holes = tuple(holes)
         if hole_labels is None:
             hole_labels = [None] * len(holes)
         hole_list, hole_label_list = [], []
         for hpts, hlabs in zip(holes, hole_labels):
-            h = _as_points(hpts)
-            if len(h) < 3:
-                raise DomainValidationError("a hole needs at least 3 vertices")
-            if hlabs is None:
-                hlabs = [FIXED] * len(h)
-            hlabs = [str(l).lower() for l in hlabs]
-            if len(hlabs) != len(h):
-                raise DomainValidationError("need exactly one label per hole edge")
-            hsigned = _signed_area(h)
-            if abs(hsigned) <= 1e-14 * scale * scale:
-                raise DomainValidationError("hole area is degenerate")
-            if hsigned < 0.0:
-                k = len(h)
-                h = h[::-1].copy()
-                hlabs = [hlabs[(k - 2 - j) % k] for j in range(k)]
+            h, hlabs = _checked_loop(hpts, hlabs, "hole")
             if not _points_in_polygon(h, pts).all():
                 raise DomainValidationError("hole must lie inside the outer polygon")
             hole_list.append(h)
-            hole_label_list.append(tuple(hlabs))
+            hole_label_list.append(hlabs)
 
         for loop in (pts, *hole_list):
             loop.setflags(write=False)
         self.vertices = pts
-        self.labels = tuple(labels)
+        self.labels = labels
         self.holes = tuple(hole_list)
         self.hole_labels = tuple(hole_label_list)
         self._concavity = None

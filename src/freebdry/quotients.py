@@ -51,7 +51,7 @@ __all__ = [
 
 def lp_norm(field: ScalarField, q: float) -> float:
     """( sum |u|^q h^2 )^{1/q} over the inside cells."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise PreconditionError("lp_norm needs q >= 1")
     v = field.values_inside()
     return float((v**q).sum() * field.grid.cell_area) ** (1.0 / q)
@@ -61,8 +61,6 @@ def lp_norm(field: ScalarField, q: float) -> float:
 class SobolevReport:
     p: float
     p_star: float
-    grad_norm: float
-    lp_star_norm: float
     quotient: float
     bound: float
     margin: float
@@ -84,15 +82,11 @@ def sobolev_report(field: ScalarField, p: float) -> SobolevReport:
         raise PreconditionError("field does not vanish on the fixed boundary")
     report = require_concave(field.grid.domain)
     p_star = critical_exponent(2, p)
-    grad = gradient_lp_norm(field, p)
-    lps = lp_norm(field, p_star)
-    quotient = grad / lps
+    quotient = gradient_lp_norm(field, p) / lp_norm(field, p_star)
     bound = 1.0 / (math.sqrt(2.0) * sobolev_best_constant(2, p))
     return SobolevReport(
         p=p,
         p_star=p_star,
-        grad_norm=grad,
-        lp_star_norm=lps,
         quotient=quotient,
         bound=bound,
         margin=quotient - bound,
@@ -126,7 +120,7 @@ def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
     the fixed boundary.  A given ``grid`` must be a rasterization of
     ``domain`` at spacing ``h``; the inradius is its cached ``inradius``.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise PreconditionError("bubble scale must be positive")
     if grid is None:
         grid = rasterize(domain, h)
@@ -161,7 +155,6 @@ def normalize_energy(field: ScalarField) -> ScalarField:
 
 @dataclass(frozen=True)
 class MoserReport:
-    grad_n_norm: float
     functional: float
     area: float
     rearranged_functional: float
@@ -195,12 +188,7 @@ def moser_report(field: ScalarField) -> MoserReport:
     star = radial_rearrangement(field)
     star_cell = star.grid.cell_area
     rearranged = float(np.exp(beta * star.values_inside() ** 2).sum()) * star_cell
-    return MoserReport(
-        grad_n_norm=grad2,
-        functional=functional,
-        area=field.area,
-        rearranged_functional=rearranged,
-    )
+    return MoserReport(functional=functional, area=field.area, rearranged_functional=rearranged)
 
 
 # ---------------------------------------------------------------------------

@@ -510,7 +510,6 @@ def quantile_levels(field: ScalarField, m: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlopeCoareaReport:
-    entries: tuple  # (level, profile_side, coarea_side, rel_dev)
     max_rel_dev: float
     levels_used: int
 
@@ -537,20 +536,19 @@ def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
     """Compare 1/|profile slope| with the contour integral of ds/|grad u| at
     16 quantile levels; they agree for smooth fields by the coarea formula.
 
-    Unusable levels and levels of zero slope are skipped.  Returns per-level
-    entries and the maximum relative deviation; raises ``PreconditionError``
-    when no level was usable, since a check over no level shows nothing.
+    Unusable levels and levels of zero slope are skipped.  Returns the
+    maximum relative deviation over the levels used; raises
+    ``PreconditionError`` when no level was usable, since a check over no
+    level shows nothing.
     """
-    entries = []
-    for t, ls, _, slope in _usable_levels(field, quantile_levels(field, 16)):
+    devs = []
+    for _, ls, _, slope in _usable_levels(field, quantile_levels(field, 16)):
         if slope != 0.0:
-            lhs = 1.0 / abs(slope)
             rhs = ls.coarea_integral
-            entries.append((t, lhs, rhs, abs(lhs - rhs) / rhs))
-    if not entries:
+            devs.append(abs(1.0 / abs(slope) - rhs) / rhs)
+    if not devs:
         raise PreconditionError("no usable level for the slope/coarea identity")
-    max_dev = max(e[3] for e in entries)
-    return SlopeCoareaReport(tuple(entries), max_dev, len(entries))
+    return SlopeCoareaReport(max(devs), len(devs))
 
 
 def check_flux_lower_bound(field: ScalarField, t: float, p: float) -> tuple[float, float]:
@@ -560,8 +558,8 @@ def check_flux_lower_bound(field: ScalarField, t: float, p: float) -> tuple[floa
 
     with equality when |grad u| is constant on the contour.
     """
-    if p <= 1.0:
-        raise PreconditionError("the flux bound needs p > 1")
+    if not 1.0 < p < math.inf:
+        raise PreconditionError("the flux bound needs a finite p > 1")
     ls = level_stats(field, t, p)
     if ls.surface <= 0.0:
         raise PreconditionError(f"level {t} has an empty contour")
@@ -580,8 +578,8 @@ def check_profile_energy_bound(field: ScalarField, p: float,
     S taken from the extracted contours.  Raises ``PreconditionError`` when
     fewer than 2 levels are usable: the quadrature then has no interval.
     """
-    if p <= 1.0:
-        raise PreconditionError("the profile energy bound needs p > 1")
+    if not 1.0 < p < math.inf:
+        raise PreconditionError("the profile energy bound needs a finite p > 1")
     usable = _usable_levels(field, quantile_levels(field, n_levels))
     if len(usable) < 2:
         raise PreconditionError(
@@ -604,8 +602,8 @@ def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[flo
     for fields vanishing on the fixed boundary of a domain whose free chain
     is concave.  Returns (left integral, right-hand bound).
     """
-    if p <= 1.0:
-        raise PreconditionError("the energy factor bound needs p > 1")
+    if not 1.0 < p < math.inf:
+        raise PreconditionError("the energy factor bound needs a finite p > 1")
     if not field.fixed_trace_ok():
         raise PreconditionError("field does not vanish on the fixed boundary")
     require_concave(field.grid.domain)
@@ -617,7 +615,7 @@ def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[flo
 
 def gradient_lp_norm(field: ScalarField, p: float) -> float:
     """( sum |grad u|^p h^2 )^{1/p} over the inside cells."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise PreconditionError("gradient norm needs p >= 1")
     g = field.grad_magnitude[field.grid.mask]
     return float((g ** p).sum() * field.grid.cell_area) ** (1.0 / p)

@@ -185,9 +185,7 @@ class FrequencyReport:
         }
 
 
-def check_frequency_vs_half_ball(domain: LabeledDomain, h: float,
-                                 tol: float = 1e-8,
-                                 seed: int = DEFAULT_SEED) -> FrequencyReport:
+def check_frequency_vs_half_ball(domain: LabeledDomain, h: float) -> FrequencyReport:
     """Principal frequency of the domain against the half-ball reference.
 
     Requires the free chain to be concave (the hypothesis under which the
@@ -195,7 +193,7 @@ def check_frequency_vs_half_ball(domain: LabeledDomain, h: float,
     """
     report = require_concave(domain)
     problem = assemble(domain, h)
-    lam, _, iters = principal_frequency(problem, tol=tol, seed=seed)
+    lam, _, iters = principal_frequency(problem)
     reference = half_ball_reference(domain.area)
     return FrequencyReport(
         lam=lam,

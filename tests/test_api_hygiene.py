@@ -3,7 +3,8 @@
 Every name a module lists in ``__all__`` exists, every name the package
 root imports resolves to the module's own object, no module imports a name
 it never uses, and every name a module defines at its top level is read
-somewhere in the package or its tests (each a leftover of deleted code).
+somewhere in the package or its tests (each a leftover of deleted code),
+and so is every field of every dataclass.
 """
 
 import ast
@@ -106,3 +107,54 @@ def test_unread_name_detector_sees_a_leftover():
     )
     caller = ast.parse("from m import area, Spec\nx = area(SEGMENTS)\n")
     assert unread_names(module, [module, caller]) == ["MIN_PARABOLA_REGION_AREA", "Spec"]
+
+
+def dataclass_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, field) of every annotated field of every class the module
+    decorates with ``dataclass``, called or not."""
+    fields = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            fields.update((node.name, s.target.id) for s in node.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+    return fields
+
+
+def attribute_reads(trees) -> set[str]:
+    """Attribute names loaded anywhere in ``trees`` (``x.name``); a keyword
+    argument or an assignment to the attribute is not a read."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(module: ast.Module, trees) -> list[str]:
+    reads = attribute_reads(trees)
+    return sorted(f"{cls}.{name}" for cls, name in dataclass_fields(module) if name not in reads)
+
+
+def test_every_dataclass_field_is_read():
+    trees = [_tree(p) for p in (*SRC.glob("*.py"), *TESTS.glob("*.py"))]
+    unread = {name: unread_fields(_tree(SRC / f"{name}.py"), trees) for name in MODULES}
+    assert {name: fields for name, fields in unread.items() if fields} == {}
+
+
+def test_unread_field_detector_sees_a_leftover():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n    quotient: float\n    grad_norm: float\n    LIMIT = 3\n"
+        "@dataclasses.dataclass\n"
+        "class Entry:\n    level: float\n"
+        "class Plain:\n    unused: int\n"
+    )
+    caller = ast.parse(
+        "r = Report(quotient=1.0, grad_norm=2.0)\n"
+        "e = Entry(0.5)\n"
+        "e.level = 1.0\n"
+        "print(r.quotient)\n"
+    )
+    assert unread_fields(module, [module, caller]) == ["Entry.level", "Report.grad_norm"]

@@ -196,6 +196,7 @@ def test_non_finite_domain_file_exits_2(tmp_path, capsys):
 
 
 _SQUARE = '[[0, 0], [1, 0], [1, 1], [0, 1]]'
+_SQUARE_4 = '[[0, 0], [4, 0], [4, 4], [0, 4]]'
 _FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
 
 
@@ -208,8 +209,14 @@ _FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
      '"holes": [[[0.4, 0.4], [0.6, 0.4], [0.5, 0.6]]], "hole_labels": [5]}', None),
     (None, "counterexample:abc"),
     (None, "counterexample:"),
+    # a hole gets every check the outer loop gets
+    (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, "holes": [[[1, 1], [3, 1], [3, 3], [1, 3]]], '
+     '"hole_labels": [["oops", "fixed", "fixed", "fixed"]]}', None),
+    (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, '
+     '"holes": [[[1, 1], [3, 2], [3, 1], [1, 2.5]]]}', None),
 ], ids=["non-numeric", "ragged", "top-level-list", "hole-labels-not-list",
-        "hole-labels-entry-not-list", "counterexample-not-number", "counterexample-empty"])
+        "hole-labels-entry-not-list", "counterexample-not-number", "counterexample-empty",
+        "hole-bad-label", "hole-self-crossing"])
 def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
     if spec is None:
         spec = tmp_path / "bad.json"
@@ -243,12 +250,40 @@ def test_bad_grid_spacing_exits_2(capsys, campaign, h):
     (["moser", "--random", "-1", "--h", "0.0625"], 2),
     (["moser", "--random", "0", "--h", "0.0625"], 2),
     (["moser", "--random", "1", "--h", "0.0625"], 0),
+    (["symmetrize", "--steps", "0"], 2),
+    (["symmetrize", "--steps", "-3"], 2),
+    (["symmetrize", "--steps", "1"], 0),
 ])
 def test_random_count_bounds(capsys, argv, code):
     # a campaign over nothing would pass vacuously, so the parser refuses it
     assert exit_code(argv + ["--quiet"]) == code
     if code == 2:
-        assert "argument --random: must be at least" in capsys.readouterr().err
+        assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--epsilon", ["sobolev", "--h", "0.0625", "--random", "0"]),
+    ("--p", ["rearrange", "--h", "0.0625"]),
+], ids=["sobolev-epsilon", "rearrange-p"])
+def test_non_finite_experiment_input_exits_3(capsys, flag, argv, value):
+    # NaN fails every comparison, so it must fail the guard, not pass it
+    assert run_cli([*argv, f"{flag}={value}", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rearrange", "--tol", "0.5"],
+    ["sobolev", "--tol", "0.5"],
+    ["moser", "--tol", "0.5"],
+    ["eig", "--tol", "0.5"],
+    ["eig", "--seed", "1"],
+], ids=["rearrange-tol", "sobolev-tol", "moser-tol", "eig-tol", "eig-seed"])
+def test_verdict_rules_are_not_flags(capsys, argv):
+    # each of these could loosen a verdict; the slack is a fixed constant
+    assert exit_code(argv + ["--quiet"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

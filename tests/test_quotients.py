@@ -40,6 +40,12 @@ def test_lp_norm_homogeneous(disk_cone_128):
     )
 
 
+@pytest.mark.parametrize("q", [0.5, math.nan, -math.inf])
+def test_lp_norm_needs_q_at_least_1(disk_cone_128, q):
+    with pytest.raises(PreconditionError):
+        lp_norm(disk_cone_128, q)
+
+
 # -- Sobolev reports ---------------------------------------------------------------
 
 def test_sobolev_cone_above_bound(half_disk_cone_128):
@@ -151,6 +157,12 @@ def test_bubble_vanishes_near_fixed_boundary(half_disk_domain, half_disk_grid_12
 def test_bubble_too_large_rejected(half_disk_domain):
     with pytest.raises(PreconditionError):
         talenti_bubble(half_disk_domain, 1.0 / 64, 1.5, 0.6)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, math.nan, -math.inf])
+def test_bubble_scale_must_be_positive(half_disk_domain, epsilon):
+    with pytest.raises(PreconditionError, match="bubble scale must be positive"):
+        talenti_bubble(half_disk_domain, 1.0 / 64, 1.5, epsilon)
 
 
 # -- exponential functional -----------------------------------------------------------

@@ -283,6 +283,24 @@ def test_energy_factor_interior_bump(square_free_bottom):
     assert rhs / lhs == pytest.approx(2.0, rel=0.15)
 
 
+@pytest.mark.parametrize("p", [1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check", [
+    lambda f, p: check_flux_lower_bound(f, 0.5, p),
+    check_profile_energy_bound,
+    check_rearrangement_energy_factor,
+], ids=["flux", "profile-energy", "energy-factor"])
+def test_level_checks_need_a_finite_p_above_1(half_disk_cone_128, check, p):
+    # NaN fails every comparison, so each guard is written to fail on it
+    with pytest.raises(PreconditionError, match="needs a finite p > 1"):
+        check(half_disk_cone_128, p)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan, -math.inf])
+def test_gradient_norm_needs_p_at_least_1(half_disk_cone_128, p):
+    with pytest.raises(PreconditionError):
+        gradient_lp_norm(half_disk_cone_128, p)
+
+
 def test_energy_factor_trace_violation(half_disk_domain):
     f = ScalarField.from_function(half_disk_domain, 1.0 / 64, lambda X, Y: np.ones_like(X))
     with pytest.raises(PreconditionError):
