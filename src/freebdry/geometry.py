@@ -108,7 +108,8 @@ def _segments_cross(a, b, c, d, eps: float) -> np.ndarray:
     return proper | collinear & ((hix - lox > seps) | (hiy - loy > seps))
 
 
-# edge pairs tested together by _check_simple; bounds its working set
+# edge pairs tested together by _check_simple, and point-edge pairs
+# measured together by _segment_distances; bounds their working sets
 _EDGE_PAIR_BLOCK = 1 << 14
 
 
@@ -130,6 +131,32 @@ def _check_simple(pts: np.ndarray, scale: float) -> None:
             raise DomainValidationError(
                 f"polygon is not simple: edges {i[k]} and {j[k]} intersect"
             )
+
+
+def _loops_cross(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
+    """Whether an edge of loop ``p`` crosses an edge of loop ``q``."""
+    rows = max(1, _EDGE_PAIR_BLOCK // len(q))
+    for i0 in range(0, len(p), rows):
+        i, j = np.indices((min(rows, len(p) - i0), len(q))).reshape(2, -1)
+        i += i0
+        if _segments_cross(p[i].T, _next(p)[i].T, q[j].T, _next(q)[j].T, eps).any():
+            return True
+    return False
+
+
+def _check_holes(outer: np.ndarray, holes: Sequence[np.ndarray]) -> None:
+    """Raise unless every hole lies inside the outer loop and outside every
+    other hole, with no edge of one loop crossing an edge of another."""
+    scale = float(np.max(np.ptp(outer, axis=0)))
+    eps = 1e-12 * scale * scale
+    for k, hole in enumerate(holes):
+        if not _points_in_polygon(hole, outer).all() or _loops_cross(outer, hole, eps):
+            raise DomainValidationError("hole must lie inside the outer polygon")
+        for other in holes[:k]:
+            if _loops_cross(other, hole, eps):
+                raise DomainValidationError("holes must not cross each other")
+            if _points_in_polygon(hole, other).all() or _points_in_polygon(other, hole).all():
+                raise DomainValidationError("a hole must not lie inside another hole")
 
 
 def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -201,14 +228,39 @@ def _grid_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: np.ndarray) -> np.nda
     return (np.cumsum(marks.reshape(ny, nx + 1)[:, :nx], axis=1) & 1).astype(bool)
 
 
-def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
+def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Distances from ``points`` (N, 2) to the segments ``starts[k]`` ->
+    ``ends[k]`` (M, 2), yielded as consecutive (rows, M) blocks of about
+    ``_EDGE_PAIR_BLOCK`` entries that cover every point in order; there is
+    at least one block, of no rows if there are no points.
+
+    Each distance is elementwise arithmetic on its own point and segment,
+    with no BLAS reduction, so its bits do not depend on the CPU's BLAS
+    kernel nor on where its row sits in ``points``.  A zero-length segment
+    gives the distance to its endpoint.
+    """
+    ax, ay = starts[:, 0], starts[:, 1]
+    abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
+    denom = abx * abx + aby * aby
+    denom[denom == 0.0] = 1.0  # the projection parameter is then 0 / 1
+    n, rows = len(points), max(1, _EDGE_PAIR_BLOCK // max(len(starts), 1))
+    px, py = points[:, 0:1], points[:, 1:2]
+    # scratch blocks reused by every block of rows: fresh arrays this size
+    # would be page-faulted in anew each time
+    bufs = np.empty((3, min(rows, n), len(starts)))
+    for r0 in range(0, max(n, 1), rows):
+        bx, by = px[r0:r0 + rows], py[r0:r0 + rows]
+        qx, qy, t = bufs[:, :len(bx)]
+        np.subtract(bx, ax, out=qx)
+        np.subtract(by, ay, out=qy)
+        np.multiply(qx, abx, out=t)
+        t += np.multiply(qy, aby, out=qy)
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
+        # the projection a + t * ab, then the offset to it
+        np.subtract(bx, np.add(ax, np.multiply(t, abx, out=qx), out=qx), out=qx)
+        np.subtract(by, np.add(ay, np.multiply(t, aby, out=qy), out=qy), out=qy)
+        yield np.hypot(qx, qy)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +305,9 @@ class LabeledDomain:
 
     Vertices are stored counterclockwise; edge i joins vertex i to vertex
     i + 1 (cyclically) and carries ``labels[i]``.  The free edges, wherever
-    they live, must form a single connected chain.
+    they live, must form a single connected chain.  Each hole lies inside the
+    outer polygon and outside every other hole, and no edge of one loop
+    crosses an edge of another.
 
     A domain is immutable: ``vertices`` and every array in ``holes`` are
     read-only copies of the input.  So the report of
@@ -271,10 +325,9 @@ class LabeledDomain:
         hole_list, hole_label_list = [], []
         for hpts, hlabs in zip(holes, hole_labels):
             h, hlabs = _checked_loop(hpts, hlabs, "hole")
-            if not _points_in_polygon(h, pts).all():
-                raise DomainValidationError("hole must lie inside the outer polygon")
             hole_list.append(h)
             hole_label_list.append(hlabs)
+        _check_holes(pts, hole_list)
 
         for loop in (pts, *hole_list):
             loop.setflags(write=False)
@@ -348,6 +401,13 @@ class LabeledDomain:
             for k, lab in enumerate(labs):
                 yield loop[k], loop[(k + 1) % len(loop)], lab
 
+    def _edge_arrays(self, label: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points, (M, 2) each, of the edges carrying ``label``
+        (every edge if None), in ``_edges`` order."""
+        pairs = np.array([(a, b) for a, b, lab in self._edges()
+                          if label is None or lab == label]).reshape(-1, 2, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         inside = _points_in_polygon(pts, self.vertices)
@@ -356,16 +416,11 @@ class LabeledDomain:
         return inside
 
     def _distance(self, points, label: str | None) -> np.ndarray:
-        """Distance to the nearest edge carrying ``label`` (any edge if None)."""
+        """Distance to the nearest edge carrying ``label`` (any edge if None);
+        inf if there is none."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.full(len(pts), np.inf)
-        for a, b, lab in self._edges():
-            if label is None or lab == label:
-                # ``d`` lives until the next edge's array exists; freed at once,
-                # each array page-faulted in anew (55x the faults, 1.7x the time)
-                d = _point_segment_distance(pts, a, b)
-                np.minimum(best, d, out=best)
-        return best
+        return np.concatenate([d.min(axis=1, initial=np.inf)
+                               for d in _segment_distances(pts, *self._edge_arrays(label))])
 
     # The bench tracer wraps both distance methods by name; neither calls the
     # other, so each query is counted once.
@@ -939,14 +994,11 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
         face_idx.append((dcode, ii, jj))
     # a nonempty mask has a boundary face, so there is a point to label
     allpts = np.vstack(face_pts)
-    best = np.full(len(allpts), np.inf)
-    lab = np.full(len(allpts), FACE_FIXED, dtype=np.int8)
-    for a, b, lk in domain._edges():
-        dseg = _point_segment_distance(allpts, a, b)
-        closer = dseg < best
-        if closer.any():
-            best[closer] = dseg[closer]
-            lab[closer] = FACE_FREE if lk == FREE else FACE_FIXED
+    # the nearest edge labels a face; argmin keeps the earlier edge on a tie
+    codes = np.array([FACE_FREE if lk == FREE else FACE_FIXED for _, _, lk in domain._edges()],
+                     dtype=np.int8)
+    lab = codes[np.concatenate([d.argmin(axis=1) for d in
+                                _segment_distances(allpts, *domain._edge_arrays())])]
     pos = 0
     for dcode, ii, jj in face_idx:
         n_faces = len(ii)

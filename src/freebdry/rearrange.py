@@ -234,10 +234,10 @@ class DecreasingProfile:
         x = self._breaks[i0:i1]
         y = self.levels[i0:i1]
         xc = x - x.mean()
-        denom = float(xc @ xc)
+        denom = float(np.sum(xc * xc))
         if denom == 0.0:
             return 0.0
-        return float(xc @ (y - y.mean())) / denom
+        return float(np.sum(xc * (y - y.mean()))) / denom
 
 
 def decreasing_rearrangement(field: ScalarField) -> DecreasingProfile:

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freebdry.cli import build_parser, main
@@ -126,14 +129,18 @@ def test_rearrange_quick(tmp_path):
     assert json.loads(out.read_text())["failures"] == []
 
 
+_REARRANGE_GOLDEN = ("rearrange_halfdisk_h48_seed0.json",
+                     ["rearrange", "--domain", "halfdisk", "--h", str(1 / 48), "--p", "1.5",
+                      "--p", "2", "--p", "3", "--seed", "0"])
+
+
 def test_rearrange_report_matches_golden(tmp_path):
     # the report of the per-level marching squares that preceded the batched
     # pass; the same method must reproduce it byte for byte
-    golden = Path(__file__).parent / "data" / "rearrange_halfdisk_h48_seed0.json"
+    name, argv = _REARRANGE_GOLDEN
+    golden = Path(__file__).parent / "data" / name
     out = tmp_path / "re.json"
-    code = run_cli(["rearrange", "--domain", "halfdisk", "--h", str(1 / 48), "--p", "1.5",
-                    "--p", "2", "--p", "3", "--seed", "0", "--quiet", "--out", str(out)])
-    assert code == 0
+    assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
 
 
@@ -214,9 +221,18 @@ _FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
      '"hole_labels": [["oops", "fixed", "fixed", "fixed"]]}', None),
     (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, '
      '"holes": [[[1, 1], [3, 2], [3, 1], [1, 2.5]]]}', None),
+    # holes must not cross the outer loop or each other, nor nest
+    ('{"vertices": [[0, 0], [4, 0], [4, 4], [3, 4], [3, 1], [1, 1], [1, 4], [0, 4]], '
+     '"labels": ["fixed", "fixed", "fixed", "fixed", "fixed", "fixed", "fixed", "fixed"], '
+     '"holes": [[[0.5, 2], [3.5, 2], [3.5, 3], [0.5, 3]]]}', None),
+    (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, "holes": [[[1, 1], [3, 1], [3, 3], [1, 3]], '
+     '[[2, 2], [3.5, 2], [3.5, 3.5], [2, 3.5]]]}', None),
+    (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, "holes": [[[1, 1], [3, 1], [3, 3], [1, 3]], '
+     '[[1.5, 1.5], [2.5, 1.5], [2.5, 2.5], [1.5, 2.5]]]}', None),
 ], ids=["non-numeric", "ragged", "top-level-list", "hole-labels-not-list",
         "hole-labels-entry-not-list", "counterexample-not-number", "counterexample-empty",
-        "hole-bad-label", "hole-self-crossing"])
+        "hole-bad-label", "hole-self-crossing", "hole-across-notch", "holes-overlapping",
+        "hole-in-hole"])
 def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
     if spec is None:
         spec = tmp_path / "bad.json"
@@ -395,6 +411,50 @@ def test_field_campaigns_rerun_in_process_like_a_fresh_interpreter(tmp_path):
         assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports == _fresh_reports(calls, tmp_path) * 2
+
+
+def _openblas_picks_its_kernel_at_run_time() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without the config dicts
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+_RUN_GOLDENS = """
+import json, sys
+from freebdry.cli import main
+sys.exit(max(main(argv + ["--quiet", "--out", out]) for argv, out in json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not _openblas_picks_its_kernel_at_run_time(),
+                    reason="needs numpy on OpenBLAS built with DYNAMIC_ARCH, on x86-64")
+def test_grid_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE forces the kernel OpenBLAS would pick on another CPU;
+    # the grid campaigns' reports must not change with it
+    goldens = [_REARRANGE_GOLDEN, *_FIELD_GOLDENS]
+    cores = ["Nehalem", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
+    runs = {core: [(argv, str(tmp_path / f"{core}-{name}")) for name, argv in goldens]
+            for core in cores}
+    procs = [subprocess.Popen([sys.executable, "-c", _RUN_GOLDENS, json.dumps(calls)],
+                              env={**os.environ, "OPENBLAS_CORETYPE": core})
+             for core, calls in runs.items()]
+    assert [proc.wait(timeout=300) for proc in procs] == [0] * len(procs)
+    data = Path(__file__).parent / "data"
+    for core, calls in runs.items():
+        for (name, _), (_, out) in zip(goldens, calls):
+            assert Path(out).read_bytes() == (data / name).read_bytes(), (core, name)
 
 
 def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
