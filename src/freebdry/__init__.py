@@ -33,7 +33,6 @@ from .geometry import (
     is_concave_free_boundary,
     isoperimetric_report,
     rasterize,
-    reflect,
     symmetrization_step,
     symmetrize_iterate,
 )

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "is_concave_free_boundary",
     "require_concave",
     "isoperimetric_report",
-    "reflect",
     "equal_volume_cut",
     "symmetrization_step",
     "symmetrize_iterate",
@@ -108,63 +107,41 @@ def _segments_cross(a, b, c, d, eps: float) -> np.ndarray:
     return proper | collinear & ((hix - lox > seps) | (hiy - loy > seps))
 
 
-# edge pairs tested together by _check_simple, and point-edge pairs
+# edge pairs tested together by _check_crossings, and point-edge pairs
 # measured together by _segment_distances; bounds their working sets
 _EDGE_PAIR_BLOCK = 1 << 14
 
 
-def _check_simple(pts: np.ndarray, scale: float) -> None:
-    """Raise for the first pair (i, j), i < j, of non-adjacent edges that
-    cross, in row-major order; edge i joins vertex i to vertex i + 1."""
-    m = len(pts)
+def _check_crossings(start: np.ndarray, end: np.ndarray, loop: np.ndarray, scale: float) -> None:
+    """Raise for the first pair (i, j), i < j, of the edges ``start[k]`` ->
+    ``end[k]`` that cross, in row-major order; ``loop[k]`` numbers edge k's
+    loop (0 for the outer one, ascending).  Adjacent edges are tested too:
+    their shared endpoint does not count, so only an edge retracing its
+    neighbour crosses it.  Within one loop the message names the loop's own
+    edge numbers, edge i joining its vertex i to vertex i + 1."""
+    m = len(start)
     eps = 1e-12 * scale * scale
-    start, end = pts.T, _next(pts).T
+    start, end = start.T, end.T
     rows = max(1, _EDGE_PAIR_BLOCK // m)
     for i0 in range(0, m, rows):
-        i, j = np.nonzero(np.triu(np.ones((min(rows, m - i0), m), dtype=bool), k=i0 + 2))
+        i, j = np.nonzero(np.triu(np.ones((min(rows, m - i0), m), dtype=bool), k=i0 + 1))
         i += i0
-        keep = (i > 0) | (j < m - 1)  # edges 0 and m - 1 meet at vertex 0
-        i, j = i[keep], j[keep]
         hit = np.flatnonzero(_segments_cross(start[:, i], end[:, i], start[:, j], end[:, j], eps))
         if hit.size:
-            k = hit[0]
-            raise DomainValidationError(
-                f"polygon is not simple: edges {i[k]} and {j[k]} intersect"
-            )
-
-
-def _loops_cross(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
-    """Whether an edge of loop ``p`` crosses an edge of loop ``q``."""
-    rows = max(1, _EDGE_PAIR_BLOCK // len(q))
-    for i0 in range(0, len(p), rows):
-        i, j = np.indices((min(rows, len(p) - i0), len(q))).reshape(2, -1)
-        i += i0
-        if _segments_cross(p[i].T, _next(p)[i].T, q[j].T, _next(q)[j].T, eps).any():
-            return True
-    return False
-
-
-def _check_holes(outer: np.ndarray, holes: Sequence[np.ndarray]) -> None:
-    """Raise unless every hole lies inside the outer loop and outside every
-    other hole, with no edge of one loop crossing an edge of another."""
-    scale = float(np.max(np.ptp(outer, axis=0)))
-    eps = 1e-12 * scale * scale
-    for k, hole in enumerate(holes):
-        if not _points_in_polygon(hole, outer).all() or _loops_cross(outer, hole, eps):
-            raise DomainValidationError("hole must lie inside the outer polygon")
-        for other in holes[:k]:
-            if _loops_cross(other, hole, eps):
-                raise DomainValidationError("holes must not cross each other")
-            if _points_in_polygon(hole, other).all() or _points_in_polygon(other, hole).all():
-                raise DomainValidationError("a hole must not lie inside another hole")
+            i, j = i[hit[0]], j[hit[0]]
+            if loop[i] == loop[j]:
+                first = np.searchsorted(loop, loop[i])
+                raise DomainValidationError(
+                    f"polygon is not simple: edges {i - first} and {j - first} intersect")
+            raise DomainValidationError("hole must lie inside the outer polygon" if loop[i] == 0
+                                        else "holes must not cross each other")
 
 
 def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """One boundary loop, the outer polygon or a hole, validated: finite
     coordinates, at least 3 vertices, one fixed/free label per edge (all
-    fixed for ``None``), a non-degenerate area and no crossing edges.
-    Returns the vertices turned counterclockwise, with the edge labels
-    remapped to match."""
+    fixed for ``None``) and a non-degenerate area.  Returns the vertices
+    turned counterclockwise, with the edge labels remapped to match."""
     pts = _as_points(vertices)
     if len(pts) < 3:
         raise DomainValidationError(f"a {what} needs at least 3 vertices")
@@ -181,7 +158,6 @@ def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, .
         m = len(pts)
         pts = pts[::-1].copy()
         labels = [labels[(m - 2 - j) % m] for j in range(m)]
-    _check_simple(pts, scale)
     return pts, tuple(labels)
 
 
@@ -198,6 +174,17 @@ def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
         xi = x1[k] + (py - y1[k]) * (x2[k] - x1[k]) / (y2[k] - y1[k])
         inside ^= cond & (px < xi)
     return inside
+
+
+def _check_holes(outer: np.ndarray, holes: Sequence[np.ndarray]) -> None:
+    """Raise unless every hole lies inside the outer loop and outside every
+    other hole; the loops are known not to cross."""
+    for k, hole in enumerate(holes):
+        if not _points_in_polygon(hole, outer).all():
+            raise DomainValidationError("hole must lie inside the outer polygon")
+        for other in holes[:k]:
+            if _points_in_polygon(hole, other).all() or _points_in_polygon(other, hole).all():
+                raise DomainValidationError("a hole must not lie inside another hole")
 
 
 def _grid_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -286,18 +273,33 @@ class CutLine:
         return np.array([-math.sin(self.angle), math.cos(self.angle)])
 
     def signed_distance(self, points) -> np.ndarray:
+        """``n . x - offset`` of each point: the side-of-line test of every
+        cut and reflection.  It is elementwise arithmetic, with no BLAS
+        reduction, so its bits do not depend on the CPU's BLAS kernel."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.normal - self.offset
+        nx, ny = self.normal
+        return pts[:, 0] * nx + pts[:, 1] * ny - self.offset
 
     def mirror(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts @ self.normal - self.offset
-        return pts - 2.0 * d[:, None] * self.normal[None, :]
+        return pts - 2.0 * self.signed_distance(pts)[:, None] * self.normal[None, :]
 
 
 # ---------------------------------------------------------------------------
 # the domain type
 # ---------------------------------------------------------------------------
+
+class _EdgeTable(NamedTuple):
+    """Every boundary edge of a domain, the outer loop's in order and then
+    each hole's: start and end points (M, 2), length, free flag and the
+    number of its loop (0 for the outer one).  Every array is read-only."""
+
+    start: np.ndarray
+    end: np.ndarray
+    length: np.ndarray
+    free: np.ndarray
+    loop: np.ndarray
+
 
 class LabeledDomain:
     """Simple polygon with fixed/free edge labels and (by default all-fixed)
@@ -310,12 +312,12 @@ class LabeledDomain:
     crosses an edge of another.
 
     A domain is immutable: ``vertices`` and every array in ``holes`` are
-    read-only copies of the input.  So the report of
-    :func:`is_concave_free_boundary` is computed on its first call and kept
-    on the domain for every later call.
+    read-only copies of the input.  So its edge table is built once, and the
+    report of :func:`is_concave_free_boundary` is computed on its first call
+    and kept on the domain for every later call.
     """
 
-    __slots__ = ("vertices", "labels", "holes", "hole_labels", "_concavity")
+    __slots__ = ("vertices", "labels", "holes", "hole_labels", "_edges", "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
         pts, labels = _checked_loop(vertices, labels, "polygon")
@@ -327,10 +329,19 @@ class LabeledDomain:
             h, hlabs = _checked_loop(hpts, hlabs, "hole")
             hole_list.append(h)
             hole_label_list.append(hlabs)
+        loops = (pts, *hole_list)
+        start = np.concatenate(loops)
+        end = np.concatenate([_next(loop) for loop in loops])
+        edges = _EdgeTable(
+            start, end, np.concatenate([_edge_lengths(loop) for loop in loops]),
+            np.array([l == FREE for labs in (labels, *hole_label_list) for l in labs]),
+            np.repeat(np.arange(len(loops)), [len(loop) for loop in loops]))
+        _check_crossings(edges.start, edges.end, edges.loop, float(np.max(np.ptp(pts, axis=0))))
         _check_holes(pts, hole_list)
 
-        for loop in (pts, *hole_list):
-            loop.setflags(write=False)
+        for a in (*loops, *edges):
+            a.setflags(write=False)
+        self._edges = edges
         self.vertices = pts
         self.labels = labels
         self.holes = tuple(hole_list)
@@ -362,12 +373,15 @@ class LabeledDomain:
             a -= _signed_area(h)
         return a
 
+    def _carrying(self, label: str | None):
+        """Selects the edge-table rows of the edges carrying ``label`` (every
+        edge if None)."""
+        return slice(None) if label is None else self._edges.free == (label == FREE)
+
     def boundary_length(self, label: str | None = None) -> float:
         total = 0.0
-        for loop, labs in zip(self._loops(), (self.labels, *self.hole_labels)):
-            for L, lab in zip(_edge_lengths(loop), labs):
-                if label is None or lab == label:
-                    total += float(L)
+        for L in self._edges.length[self._carrying(label)].tolist():  # in edge order
+            total += L
         return total
 
     @property
@@ -394,20 +408,6 @@ class LabeledDomain:
     def _loops(self) -> tuple[np.ndarray, ...]:
         return (self.vertices, *self.holes)
 
-    def _edges(self):
-        """Every boundary edge as (start, end, label): the outer loop's in
-        order, then each hole's."""
-        for loop, labs in zip(self._loops(), (self.labels, *self.hole_labels)):
-            for k, lab in enumerate(labs):
-                yield loop[k], loop[(k + 1) % len(loop)], lab
-
-    def _edge_arrays(self, label: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end points, (M, 2) each, of the edges carrying ``label``
-        (every edge if None), in ``_edges`` order."""
-        pairs = np.array([(a, b) for a, b, lab in self._edges()
-                          if label is None or lab == label]).reshape(-1, 2, 2)
-        return pairs[:, 0], pairs[:, 1]
-
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         inside = _points_in_polygon(pts, self.vertices)
@@ -419,8 +419,9 @@ class LabeledDomain:
         """Distance to the nearest edge carrying ``label`` (any edge if None);
         inf if there is none."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.concatenate([d.min(axis=1, initial=np.inf)
-                               for d in _segment_distances(pts, *self._edge_arrays(label))])
+        sel = self._carrying(label)
+        return np.concatenate([d.min(axis=1, initial=np.inf) for d in
+                               _segment_distances(pts, self._edges.start[sel], self._edges.end[sel])])
 
     # The bench tracer wraps both distance methods by name; neither calls the
     # other, so each query is counted once.
@@ -432,24 +433,18 @@ class LabeledDomain:
 
     # -- free-chain parameterization -------------------------------------------------
 
-    def free_edges(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(a, b) for a, b, lab in self._edges() if lab == FREE]
-
     def free_chain_points(self, n: int) -> np.ndarray:
         """``n`` points spread uniformly in arc length over the free chain."""
-        edges = self.free_edges()
-        if not edges:
+        free = self._edges.free
+        a, b, lens = self._edges.start[free], self._edges.end[free], self._edges.length[free]
+        if not len(lens):
             return np.empty((0, 2))
-        lens = np.array([float(np.hypot(*(b - a))) for a, b in edges])
         cum = np.concatenate([[0.0], np.cumsum(lens)])
         s = np.linspace(0.0, cum[-1], n)
-        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(edges) - 1)
-        pts = np.empty((n, 2))
-        for j, (si, ei) in enumerate(zip(s, idx)):
-            a, b = edges[ei]
-            t = (si - cum[ei]) / lens[ei] if lens[ei] > 0 else 0.0
-            pts[j] = a + min(max(t, 0.0), 1.0) * (b - a)
-        return pts
+        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
+        # a zero-length edge gives its start point
+        t = np.divide(s - cum[idx], lens[idx], out=np.zeros(n), where=lens[idx] > 0.0)
+        return a[idx] + np.clip(t, 0.0, 1.0)[:, None] * (b - a)[idx]
 
     # -- transforms ----------------------------------------------------------------
 
@@ -613,27 +608,18 @@ def isoperimetric_report(domain: LabeledDomain) -> IsoperimetricReport:
     )
 
 
-def reflect(domain: LabeledDomain, line: CutLine) -> LabeledDomain:
-    """Mirror image of the domain across ``line``; labels follow their edges."""
-    return LabeledDomain(
-        line.mirror(domain.vertices),
-        list(domain.labels),
-        [line.mirror(h) for h in domain.holes],
-        [list(h) for h in domain.hole_labels],
-    )
-
-
 # -- area on one side of a line (Sutherland-Hodgman, used for bisection) -------
 
-def _projected(loop: np.ndarray, normal: np.ndarray) -> tuple[list, ...]:
+def _projected(loop: np.ndarray, line: CutLine) -> tuple[list, ...]:
     """A loop as float lists for the clipping loop: x, y, the next vertex's
-    x and y, and the projections ``loop @ normal``."""
+    x and y, and the signed distances to ``line``."""
     x, y = loop[:, 0].tolist(), loop[:, 1].tolist()
-    return x, y, x[1:] + x[:1], y[1:] + y[:1], (loop @ normal).tolist()
+    return x, y, x[1:] + x[:1], y[1:] + y[:1], line.signed_distance(loop).tolist()
 
 
 def _clipped_area_above(projected: tuple[list, ...], offset: float) -> float:
-    """Area of the part of one projected loop where ``n . x >= offset``."""
+    """Area of the part of one projected loop whose signed distance is at
+    least ``offset``."""
     x, y, x_next, y_next, proj = projected
     d = [q - offset for q in proj]
     out_x, out_y = [], []
@@ -658,20 +644,16 @@ def _loops_area_above(loops: Sequence[tuple[list, ...]], offset: float) -> float
     return a
 
 
-def _area_above(domain: LabeledDomain, normal: np.ndarray, offset: float) -> float:
-    return _loops_area_above([_projected(loop, normal) for loop in domain._loops()], offset)
-
-
 def equal_volume_cut(domain: LabeledDomain, theta: float) -> CutLine:
     """Offset of the line at angle ``theta`` splitting the domain into two
     equal areas, found by bisection on the monotone area split function.
 
-    The vertex projections onto the line's normal are computed once per cut;
-    each bisection step clips the projected loops at its offset.  The
-    returned cut satisfies |A_above - A_below| <= 1e-9 * area.
+    The vertex projections onto the returned line's normal (that of
+    ``theta`` mod pi) are computed once per cut; each bisection step clips
+    the projected loops at its offset.  The returned cut satisfies
+    |A_above - A_below| <= 1e-9 * area.
     """
-    normal = np.array([-math.sin(theta), math.cos(theta)])
-    loops = [_projected(loop, normal) for loop in domain._loops()]
+    loops = [_projected(loop, CutLine(theta, 0.0)) for loop in domain._loops()]
     proj = np.concatenate([p[-1] for p in loops])
     lo, hi = float(proj.min()), float(proj.max())
     A = domain.area
@@ -702,9 +684,10 @@ def _crossing(loop: np.ndarray, d: np.ndarray, i: int) -> np.ndarray:
 
 
 def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
-                    side: int) -> tuple[np.ndarray, list[str]]:
-    """The part of a simple CCW polygon on one side of ``cut`` (``side`` = +1:
-    ``n . x > offset``) followed by its mirror image, as (vertices, labels).
+                    d: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The part of a simple CCW polygon on one side of ``cut``, where the
+    vertices' signed distances ``d`` are positive, followed by its mirror
+    image, as (vertices, labels).
 
     The kept part must meet the line in one chord, so the boundary crosses
     the line exactly twice and the kept part is the arc from the entering
@@ -713,11 +696,10 @@ def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
     no vertex lies on the line; callers nudge the offset beforehand.
     """
     m = len(loop)
-    d = (loop @ cut.normal - cut.offset) * side
     kept = d > 0.0
     cross = np.flatnonzero(kept != _next(kept))  # edge i crosses the line
     if len(cross) != 2:
-        raise DegenerateCutError(_split_failure(loop, d, cross, cut.normal))
+        raise DegenerateCutError(_split_failure(loop, d, cross, cut))
     enter, leave = cross.tolist()
     if not kept[(enter + 1) % m]:  # the entering edge ends on the kept side
         enter, leave = leave, enter
@@ -728,16 +710,17 @@ def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
     return vertices, arc_labels + arc_labels[::-1]
 
 
-def _split_failure(loop: np.ndarray, d: np.ndarray, cross: np.ndarray, normal) -> str:
+def _split_failure(loop: np.ndarray, d: np.ndarray, cross: np.ndarray, cut: CutLine) -> str:
     """Why the kept side is not one arc: its number of components, or of
     chords when it is one component.  Along the line the crossings of rank
     2k and 2k + 1 bound a chord; each arc runs from an entering crossing to
     the next crossing of the boundary, and a component is a cycle of arcs
-    joined by chords."""
+    joined by chords.  The ranks run along the line, read off as signed
+    distances to a perpendicular line; their direction does not matter."""
     if len(cross) == 0:
         return "kept half meets the cut in 0 chords" if d[0] > 0.0 else "kept half has 0 components"
-    direction = np.array([normal[1], -normal[0]])
-    along = [_crossing(loop, d, i) @ direction for i in cross]
+    along = CutLine(cut.angle + 0.5 * math.pi, 0.0).signed_distance(
+        [_crossing(loop, d, i) for i in cross])
     rank = np.argsort(np.argsort(along, kind="stable")).tolist()
     entering = d[(cross + 1) % len(loop)] > 0.0
     next_arc = {rank[q]: rank[(q + 1) % len(cross)] ^ 1 for q in np.flatnonzero(entering)}
@@ -752,34 +735,24 @@ def _split_failure(loop: np.ndarray, d: np.ndarray, cross: np.ndarray, normal) -
     return f"kept half meets the cut in {len(next_arc)} chords"
 
 
-def _fixed_length_on_side(domain: LabeledDomain, normal, offset, side: int) -> float:
-    """Total fixed-edge length on one side of the line (partial edges clipped)."""
-    total = 0.0
-    for loop, labs in zip(domain._loops(), (domain.labels, *domain.hole_labels)):
-        d = (loop @ normal - offset) * side
-        m = len(loop)
-        for i in range(m):
-            if labs[i] != FIXED:
-                continue
-            j = (i + 1) % m
-            di, dj = d[i], d[j]
-            L = float(np.hypot(*(loop[j] - loop[i])))
-            if di >= 0.0 and dj >= 0.0:
-                total += L
-            elif di > 0.0 or dj > 0.0:
-                t = di / (di - dj)
-                total += L * (t if di > 0.0 else 1.0 - t)
-    return total
-
-
-def _cut_crosses_free_chain(domain: LabeledDomain, line: CutLine) -> bool:
-    normal, offset = line.normal, line.offset
-    for a, b in domain.free_edges():
-        da = float(a @ normal - offset)
-        db = float(b @ normal - offset)
-        if da == 0.0 or db == 0.0 or (da > 0.0) != (db > 0.0):
-            return True
-    return False
+def _fixed_length_split(domain: LabeledDomain, d: np.ndarray) -> tuple[float, float]:
+    """Fixed-edge length of the outer loop where its vertices' signed
+    distances ``d`` (none of them 0) are positive, and where they are
+    negative; an edge that crosses the line is split at the crossing."""
+    above = below = 0.0
+    edges = domain._edges
+    for di, dj, L, free in zip(d.tolist(), _next(d).tolist(), edges.length.tolist(),
+                               edges.free.tolist()):
+        if free:
+            continue
+        if (di > 0.0) != (dj > 0.0):
+            t = di / (di - dj)
+            up, down = (t, 1.0 - t) if di > 0.0 else (1.0 - t, t)
+        else:  # adding L * 0.0 leaves a sum as it is
+            up, down = (1.0, 0.0) if di > 0.0 else (0.0, 1.0)
+        above += L * up
+        below += L * down
+    return above, below
 
 
 def symmetrization_step(domain: LabeledDomain, theta: float) -> SymmetrizationResult:
@@ -801,26 +774,23 @@ def symmetrization_step(domain: LabeledDomain, theta: float) -> SymmetrizationRe
         raise DegenerateCutError("reflection step does not support holes")
     ratio_before = isoperimetric_report(domain).ratio
     cut = equal_volume_cut(domain, theta)
-    if not _cut_crosses_free_chain(domain, cut):
+    d = cut.signed_distance(domain.vertices)
+    # the cut meets the free chain where a free edge is not strictly on one side
+    if not (domain._edges.free & (np.sign(d) * np.sign(_next(d)) <= 0.0)).any():
         return SymmetrizationResult("case-2", domain, cut, ratio_before, ratio_before)
 
-    normal = cut.normal
-    offset = cut.offset
     scale = max(domain.diameter, 1e-30)
     # nudge off any vertex sitting on the line so all crossings are transversal
-    d = domain.vertices @ normal - offset
     if np.min(np.abs(d)) < 1e-11 * scale:
-        offset += 3.17e-9 * scale
-        d = domain.vertices @ normal - offset
+        cut = CutLine(cut.angle, cut.offset + 3.17e-9 * scale)
+        d = cut.signed_distance(domain.vertices)
         if np.min(np.abs(d)) < 1e-11 * scale:
             raise DegenerateCutError("could not nudge cut off the vertex set")
-        cut = CutLine(cut.angle, offset)
 
-    above = _fixed_length_on_side(domain, normal, offset, +1)
-    below = _fixed_length_on_side(domain, normal, offset, -1)
+    above, below = _fixed_length_split(domain, d)
     side = +1 if above <= below else -1
 
-    union_vertices, union_labels = _reflected_half(domain.vertices, domain.labels, cut, side)
+    union_vertices, union_labels = _reflected_half(domain.vertices, domain.labels, cut, d * side)
     try:
         new_domain = LabeledDomain(union_vertices, union_labels)
     except DomainValidationError as exc:
@@ -984,25 +954,16 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
     if not mask.any():
         raise DomainValidationError("rasterization produced no interior cells")
 
-    face_labels = np.zeros((ny, nx, 4), dtype=np.int8)
-    face_pts, face_idx = [], []
-    for dcode, (di, dj) in enumerate(_DIRS):
-        ii, jj = np.nonzero(mask & ~_shifted(mask, di, dj, False))
-        fx = xs[jj] + dj * 0.5 * h
-        fy = ys[ii] + di * 0.5 * h
-        face_pts.append(np.column_stack([fx, fy]))
-        face_idx.append((dcode, ii, jj))
-    # a nonempty mask has a boundary face, so there is a point to label
-    allpts = np.vstack(face_pts)
+    # the boundary faces, direction by direction: each inside cell whose
+    # neighbour across the face is outside; a nonempty mask has one
+    dd, ii, jj = np.unravel_index(np.flatnonzero(
+        [mask & ~_shifted(mask, di, dj, False) for di, dj in _DIRS]), (len(_DIRS), ny, nx))
+    di, dj = np.array(_DIRS).T[:, dd]
+    faces = np.column_stack([xs[jj] + dj * 0.5 * h, ys[ii] + di * 0.5 * h])
     # the nearest edge labels a face; argmin keeps the earlier edge on a tie
-    codes = np.array([FACE_FREE if lk == FREE else FACE_FIXED for _, _, lk in domain._edges()],
-                     dtype=np.int8)
-    lab = codes[np.concatenate([d.argmin(axis=1) for d in
-                                _segment_distances(allpts, *domain._edge_arrays())])]
-    pos = 0
-    for dcode, ii, jj in face_idx:
-        n_faces = len(ii)
-        face_labels[ii, jj, dcode] = lab[pos : pos + n_faces]
-        pos += n_faces
+    codes = np.where(domain._edges.free, FACE_FREE, FACE_FIXED).astype(np.int8)
+    face_labels = np.zeros((ny, nx, 4), dtype=np.int8)
+    face_labels[ii, jj, dd] = codes[np.concatenate(
+        [d.argmin(axis=1) for d in _segment_distances(faces, domain._edges.start, domain._edges.end)])]
 
     return RasterGrid(domain=domain, h=float(h), origin=(ox, oy), mask=mask, face_labels=face_labels)

@@ -144,18 +144,31 @@ def test_rearrange_report_matches_golden(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+_SYMMETRIZE_GOLDEN = ("symmetrize_trapezoid_steps50.json",
+                      ["symmetrize", "--domain", "trapezoid", "--steps", "50"])
+
+
 @pytest.mark.parametrize("name, argv", [
-    ("symmetrize_trapezoid_steps50.json", ["symmetrize", "--domain", "trapezoid", "--steps", "50"]),
+    _SYMMETRIZE_GOLDEN,
     ("isoperim_random50_seed3.json", ["isoperim", "--random", "50", "--seed", "3"]),
 ])
 def test_polygon_report_matches_golden(tmp_path, name, argv):
     # reports of the numpy-scalar equal-area cut and random-domain generator
-    # that preceded the float-list loops; the same arithmetic must reproduce
+    # that preceded the float-list loops, the symmetrize report since with
+    # its side-of-line tests elementwise; the same arithmetic must reproduce
     # them byte for byte
     golden = Path(__file__).parent / "data" / name
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_symmetrize_golden_pins_the_reflection_defect():
+    # the reflection step leaves the admissible class: the trapezoid reaches
+    # ratio 0.0 in 5 reflected steps, and no check fails
+    data = json.loads((Path(__file__).parent / "data" / _SYMMETRIZE_GOLDEN[0]).read_text())
+    assert [t["case"] for t in data["trace"]] == ["reflected"] * 5
+    assert data["steps_run"] == 5 and data["final_ratio"] == 0.0 and data["failures"] == []
 
 
 def _fresh_reports(calls, tmp_path):
@@ -221,6 +234,9 @@ _FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
      '"hole_labels": [["oops", "fixed", "fixed", "fixed"]]}', None),
     (f'{{"vertices": {_SQUARE_4}, "labels": {_FOUR_FIXED}, '
      '"holes": [[[1, 1], [3, 2], [3, 1], [1, 2.5]]]}', None),
+    # the last edge folds back along the first one
+    ('{"vertices": [[3, 0], [0, 0], [0, 2], [1, 2], [1, 0]], '
+     '"labels": ["fixed", "fixed", "fixed", "fixed", "fixed"]}', None),
     # holes must not cross the outer loop or each other, nor nest
     ('{"vertices": [[0, 0], [4, 0], [4, 4], [3, 4], [3, 1], [1, 1], [1, 4], [0, 4]], '
      '"labels": ["fixed", "fixed", "fixed", "fixed", "fixed", "fixed", "fixed", "fixed"], '
@@ -231,7 +247,7 @@ _FOUR_FIXED = '["fixed", "fixed", "fixed", "fixed"]'
      '[[1.5, 1.5], [2.5, 1.5], [2.5, 2.5], [1.5, 2.5]]]}', None),
 ], ids=["non-numeric", "ragged", "top-level-list", "hole-labels-not-list",
         "hole-labels-entry-not-list", "counterexample-not-number", "counterexample-empty",
-        "hole-bad-label", "hole-self-crossing", "hole-across-notch", "holes-overlapping",
+        "hole-bad-label", "hole-self-crossing", "fold-back", "hole-across-notch", "holes-overlapping",
         "hole-in-hole"])
 def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
     if spec is None:
@@ -442,8 +458,8 @@ sys.exit(max(main(argv + ["--quiet", "--out", out]) for argv, out in json.loads(
                     reason="needs numpy on OpenBLAS built with DYNAMIC_ARCH, on x86-64")
 def test_grid_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE forces the kernel OpenBLAS would pick on another CPU;
-    # the grid campaigns' reports must not change with it
-    goldens = [_REARRANGE_GOLDEN, *_FIELD_GOLDENS]
+    # the grid campaigns' and the symmetrize reports must not change with it
+    goldens = [_REARRANGE_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN]
     cores = ["Nehalem", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
     runs = {core: [(argv, str(tmp_path / f"{core}-{name}")) for name, argv in goldens]
             for core in cores}

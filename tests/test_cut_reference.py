@@ -4,11 +4,13 @@ against their references.
 The references below are the numpy-scalar versions that preceded the
 float-list loops: a Sutherland-Hodgman clip that projects the loop at every
 bisection step, an ``np.roll`` shoelace, and the crossing search of the
-random-domain generator.  The float-list code keeps every floating-point
-operation and its order, so the results must agree exactly (``==``): each
-symmetrize report depends on the offset's last bit.  The split reference
-stitches any number of kept components and chords; the two-crossing arc
-must give the same union, bit for bit, or the same error text.
+random-domain generator.  Each side-of-line test is written as the cut
+line's kernel computes it, ``x * n[0] + y * n[1] - offset``, elementwise.
+The float-list code keeps every floating-point operation and its order, so
+the results must agree exactly (``==``): each symmetrize report depends on
+the offset's last bit.  The split reference stitches any number of kept
+components and chords; the two-crossing arc must give the same union, bit
+for bit, or the same error text.
 """
 
 import math
@@ -26,8 +28,9 @@ from freebdry.geometry import (
     GOLDEN_ANGLE,
     CutLine,
     LabeledDomain,
-    _area_above,
     _edge_lengths,
+    _loops_area_above,
+    _projected,
     _reflected_half,
     _signed_area,
     equal_volume_cut,
@@ -40,8 +43,12 @@ def reference_signed_area(pts):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def side_of_line(loop, normal, offset):
+    return loop[:, 0] * normal[0] + loop[:, 1] * normal[1] - offset
+
+
 def reference_clipped_area_above(loop, normal, offset):
-    d = loop @ normal - offset
+    d = side_of_line(loop, normal, offset)
     out_x, out_y = [], []
     m = len(loop)
     for i in range(m):
@@ -70,7 +77,7 @@ def reference_area_above(domain, normal, offset):
 
 def reference_cut_offset(domain, theta):
     normal = np.array([-math.sin(theta), math.cos(theta)])
-    proj = np.concatenate([domain.vertices @ normal] + [h @ normal for h in domain.holes])
+    proj = np.concatenate([side_of_line(loop, normal, 0.0) for loop in (domain.vertices, *domain.holes)])
     lo, hi = float(proj.min()), float(proj.max())
     A = domain.area
     target = 0.5 * A
@@ -176,11 +183,12 @@ def test_area_above_matches_reference_at_every_offset():
                 domains.random_concave_domain(rng)):
         for theta in (0.0, 0.7, math.pi / 2.0):
             normal = np.array([-math.sin(theta), math.cos(theta)])
-            proj = np.concatenate([loop @ normal for loop in (dom.vertices, *dom.holes)])
+            proj = np.concatenate([side_of_line(loop, normal, 0.0) for loop in (dom.vertices, *dom.holes)])
             # vertex projections themselves put vertices exactly on the line
             offsets = np.concatenate([np.linspace(proj.min() - 0.1, proj.max() + 0.1, 41), proj])
+            loops = [_projected(loop, CutLine(theta, 0.0)) for loop in dom._loops()]
             for off in offsets.tolist():
-                assert _area_above(dom, normal, off) == reference_area_above(dom, normal, off)
+                assert _loops_area_above(loops, off) == reference_area_above(dom, normal, off)
 
 
 # -- reflection split ------------------------------------------------------------
@@ -191,7 +199,7 @@ _CUT = "__cut__"  # label of the chord edges in the reference's components
 def reference_split_loop_by_line(loop, labels, normal, offset, side):
     """Components of a simple CCW polygon on one side of a line, as
     (vertices, labels) with chord edges labelled ``_CUT``."""
-    d = (loop @ normal - offset) * side
+    d = side_of_line(loop, normal, offset) * side
     m = len(loop)
     if (d > 0.0).all():
         return [(loop.copy(), list(labels))]
@@ -291,9 +299,15 @@ def reference_reflected_half(loop, labels, cut, side):
 def nudged(dom, cut):
     """The cut moved off the vertex set the way ``symmetrization_step`` moves it."""
     scale = max(dom.diameter, 1e-30)
-    if np.min(np.abs(dom.vertices @ cut.normal - cut.offset)) < 1e-11 * scale:
+    if np.min(np.abs(side_of_line(dom.vertices, cut.normal, cut.offset))) < 1e-11 * scale:
         return CutLine(cut.angle, cut.offset + 3.17e-9 * scale)
     return cut
+
+
+def reflected_half(loop, labels, cut, side):
+    """``_reflected_half`` given the side the way ``symmetrization_step``
+    gives it: as the sign of the signed distances."""
+    return _reflected_half(loop, labels, cut, cut.signed_distance(loop) * side)
 
 
 def split_outcome(split, dom, cut, side):
@@ -311,7 +325,7 @@ def assert_splits_match(dom, cuts) -> Counter:
     for cut in cuts:
         for side in (1, -1):
             ref = split_outcome(reference_reflected_half, dom, cut, side)
-            assert split_outcome(_reflected_half, dom, cut, side) == ref
+            assert split_outcome(reflected_half, dom, cut, side) == ref
             if isinstance(ref, str):
                 errors[ref] += 1
     return errors

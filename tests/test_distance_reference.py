@@ -47,10 +47,11 @@ def kernel(points, starts, ends):
 
 def edge_table(dom):
     starts, ends, labels = [], [], []
-    for a, b, lab in dom._edges():
-        starts.append(a)
-        ends.append(b)
-        labels.append(lab)
+    for loop, labs in zip((dom.vertices, *dom.holes), (dom.labels, *dom.hole_labels)):
+        for k, lab in enumerate(labs):
+            starts.append(loop[k])
+            ends.append(loop[(k + 1) % len(loop)])
+            labels.append(lab)
     return np.array(starts), np.array(ends), labels
 
 
