@@ -309,7 +309,8 @@ class LabeledDomain:
     i + 1 (cyclically) and carries ``labels[i]``.  The free edges, wherever
     they live, must form a single connected chain.  Each hole lies inside the
     outer polygon and outside every other hole, and no edge of one loop
-    crosses an edge of another.
+    crosses an edge of another.  ``hole_labels``, when given, has one entry
+    per hole: its label list, or ``None`` for an all-fixed hole.
 
     A domain is immutable: ``vertices`` and every array in ``holes`` are
     read-only copies of the input.  So its edge table is built once, and the
@@ -322,8 +323,11 @@ class LabeledDomain:
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
         pts, labels = _checked_loop(vertices, labels, "polygon")
         holes = tuple(holes)
-        if hole_labels is None:
-            hole_labels = [None] * len(holes)
+        hole_labels = (None,) * len(holes) if hole_labels is None else tuple(hole_labels)
+        if len(hole_labels) != len(holes):
+            raise DomainValidationError(
+                f"'hole_labels' must have one entry per hole: {len(holes)} holes, "
+                f"{len(hole_labels)} entries")
         hole_list, hole_label_list = [], []
         for hpts, hlabs in zip(holes, hole_labels):
             h, hlabs = _checked_loop(hpts, hlabs, "hole")

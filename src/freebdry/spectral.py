@@ -14,6 +14,11 @@ positive vector so runs are reproducible.  The comparison value is the
 half-ball reference: half the first Dirichlet eigenvalue of the equal-area
 disk, which an even reflection identifies with the half-disk whose flat face
 is free.
+
+``eig`` is the only campaign that needs scipy (``scipy.sparse`` for the
+operator and its LU, ``scipy.special`` for the Bessel zero), so this module
+imports it inside the functions that use it: a process loads scipy on its
+first ``eig``, and every other campaign starts without it.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, PreconditionError
 from .geometry import (
@@ -37,6 +41,9 @@ from .geometry import (
     require_concave,
 )
 from .rearrange import ScalarField
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_SEED = 0x5EED
 
@@ -68,6 +75,8 @@ class SpectralProblem:
 def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
     """Assemble the mixed-boundary five-point Laplacian on the domain's
     grid of spacing ``h``."""
+    from scipy import sparse
+
     grid = rasterize(domain, h)
     index = -np.ones(grid.shape, dtype=np.int64)
     ii, jj = np.nonzero(grid.mask)
@@ -114,6 +123,8 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
         raise PreconditionError(
             "operator is singular without any fixed boundary face"
         )
+    from scipy.sparse.linalg import splu
+
     A = problem.matrix.tocsc()
     lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     rng = np.random.default_rng(seed)

@@ -153,6 +153,31 @@ def test_hole_outside_rejected():
         LabeledDomain(pts, [FIXED] * 4, holes=[hole])
 
 
+_HOLE = [(1, 1), (2, 1), (2, 2), (1, 2)]
+_SMALL_HOLE = [(3, 3), (3.5, 3), (3.5, 3.5), (3, 3.5)]
+
+
+@pytest.mark.parametrize("holes, hole_labels", [
+    ([_HOLE], []),
+    ([_HOLE, _SMALL_HOLE], [None]),
+    ([_HOLE], [None, None]),
+], ids=["too-few", "one-short", "too-many"])
+def test_hole_labels_count_must_match_holes(holes, hole_labels):
+    # a hole without a labels entry used to be dropped without a word
+    with pytest.raises(DomainValidationError, match="one entry per hole"):
+        LabeledDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [FIXED] * 4,
+                      holes=holes, hole_labels=hole_labels)
+
+
+def test_hole_labels_none_means_all_fixed():
+    square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    for hole_labels in (None, [None, None], [[FIXED] * 4, None]):
+        dom = LabeledDomain(square, [FIXED] * 4, holes=[_HOLE, _SMALL_HOLE],
+                            hole_labels=hole_labels)
+        assert dom.area == pytest.approx(16.0 - 1.0 - 0.25)
+        assert dom.hole_labels == ((FIXED,) * 4,) * 2
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_vertex_rejected(bad):
     with pytest.raises(DomainValidationError, match="finite"):

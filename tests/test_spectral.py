@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import splu
 from scipy.special import j0 as scipy_j0, jn_zeros
 
-from freebdry import domains, spectral
+from freebdry import domains
 from freebdry.errors import ConvergenceError, PreconditionError
 from freebdry.geometry import FACE_FIXED, rasterize
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
@@ -256,7 +256,8 @@ def test_factor_fill_below_colamd(monkeypatch):
         factors.append(splu(*args, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(spectral, "splu", recording_splu)
+    # principal_frequency imports splu when it runs, so patch it at its source
+    monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
     problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
     principal_frequency(problem)
     (lu,) = factors
