@@ -31,7 +31,7 @@ from .geometry import (
     rasterize,
     require_concave,
 )
-from .rearrange import ScalarField, gradient_lp_norm, radial_rearrangement
+from .rearrange import ScalarField, gradient_lp_norm
 
 __all__ = [
     "SobolevReport",
@@ -185,7 +185,7 @@ def moser_report(field: ScalarField) -> MoserReport:
         raise PreconditionError("field does not vanish on the fixed boundary")
     cell = field.grid.cell_area
     functional = float(np.exp(beta * field.values_inside() ** 2).sum()) * cell
-    star = radial_rearrangement(field)
+    star = field.radial
     star_cell = star.grid.cell_area
     rearranged = float(np.exp(beta * star.values_inside() ** 2).sum()) * star_cell
     return MoserReport(functional=functional, area=field.area, rearranged_functional=rearranged)

@@ -7,11 +7,21 @@ measure), then pushed onto the equal-area disk as a radially nonincreasing
 :class:`ScalarField`.  Level-set statistics -- contour length, the coarea
 integral of 1/|grad|, and the |grad|^{p-1} flux -- are extracted by marching
 squares.  Each check hands its whole level list to one batched pass per
-field, which contours the levels a fixed-size chunk at a time and keeps each
+field, which contours the levels a fixed-size chunk at a time, samples the
+gradient at the chunk's segment midpoints in one call, and keeps each
 level's segment lengths and midpoint gradients in a per-level contour cache
-on the field; ``level_stats`` reads one level from that cache, so a level
-list reused across exponents is contoured once.  The statistics feed the
-verification routines:
+on the field; ``level_stats`` reads one level from that cache.
+
+A field's values are read-only, so the work that does not depend on the
+exponent p is done once per field and kept on it: the sorted values, which
+are the decreasing profile's levels and which ``distribution_function``
+counts in, the usable-level table of each level list (level, statistics,
+super-level measure, profile slope) and the radial rearrangement u* with
+its gradient modulus.  A profile is a view of the sorted values; its
+breakpoints are rebuilt per use, so that a field keeps one array of its
+size more, not two.  Checks at several exponents on one field only raise
+these to their powers.
+The statistics feed the verification routines:
 
 * ``check_slope_coarea_identity``  -- profile slope vs. 1/(coarea integral),
 * ``check_flux_lower_bound``       -- variational lower bound for the flux,
@@ -68,8 +78,11 @@ __all__ = [
 class ScalarField:
     """Nonnegative function values at the inside cell centers of a grid.
 
-    The gradient, its modulus and the mirror-extended values and modulus
-    that contouring reads are computed on first use and kept on the field."""
+    ``values`` is read-only, so everything derived from it is computed on
+    first use and kept on the field: the value range, the sorted values,
+    the radial rearrangement, the gradient modulus, the mirror-extended
+    values and modulus that contouring reads, each level's contour and each
+    level list's usable-level table."""
 
     def __init__(self, grid: RasterGrid, values):
         vals = np.asarray(values, dtype=float)
@@ -83,7 +96,9 @@ class ScalarField:
             raise ValueError("field values must be nonnegative")
         self.grid = grid
         self.values = np.where(grid.mask, np.clip(vals, 0.0, None), 0.0)
+        self.values.flags.writeable = False
         self._contours = {}  # level -> (segment lengths, |grad u| at midpoints)
+        self._usable = {}    # level list -> _usable_levels table
 
     @classmethod
     def from_function(cls, domain: LabeledDomain, h: float, fn) -> "ScalarField":
@@ -107,13 +122,30 @@ class ScalarField:
     def values_inside(self) -> np.ndarray:
         return self.values[self.grid.mask]
 
+    @cached_property
+    def value_range(self) -> tuple[float, float]:
+        vals = self.values_inside()
+        return float(vals.min()), float(vals.max())
+
     @property
     def max_value(self) -> float:
-        return float(self.values_inside().max())
+        return self.value_range[1]
 
     @property
     def min_value(self) -> float:
-        return float(self.values_inside().min())
+        return self.value_range[0]
+
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """The inside values in ascending order (read-only)."""
+        out = np.sort(self.values_inside())
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def radial(self) -> "ScalarField":
+        """The radial rearrangement u* (``radial_rearrangement``)."""
+        return radial_rearrangement(self)
 
     def scaled(self, c: float) -> "ScalarField":
         if c < 0:
@@ -125,11 +157,12 @@ class ScalarField:
 
     # -- gradient -------------------------------------------------------------
 
-    @cached_property
+    @property
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell (du/dx, du/dy): central differences where both neighbors
         exist, one-sided at cells with a missing neighbor, zero if isolated.
-        x pairs the E/W neighbours of ``_DIRS``, y the N/S ones."""
+        x pairs the E/W neighbours of ``_DIRS``, y the N/S ones.  Only the
+        modulus reads it, so it is not kept: a field keeps two arrays less."""
         return self._axis_derivative(*_DIRS[0:2]), self._axis_derivative(*_DIRS[2:4])
 
     def _axis_derivative(self, fwd: tuple[int, int], bwd: tuple[int, int]) -> np.ndarray:
@@ -182,7 +215,8 @@ class ScalarField:
 
 def distribution_function(field: ScalarField, t: float) -> float:
     """Measure of the strict super-level set { u > t } (cell counting)."""
-    return float((field.values_inside() > t).sum()) * field.grid.cell_area
+    above = field.sorted_values.size - np.searchsorted(field.sorted_values, t, side="right")
+    return float(above) * field.grid.cell_area
 
 
 @dataclass
@@ -241,9 +275,8 @@ class DecreasingProfile:
 
 
 def decreasing_rearrangement(field: ScalarField) -> DecreasingProfile:
-    """Sort the cell values into the decreasing profile of the field."""
-    vals = np.sort(field.values_inside())[::-1]
-    return DecreasingProfile(levels=vals, cell_area=field.grid.cell_area)
+    """The field's sorted cell values as its decreasing profile."""
+    return DecreasingProfile(levels=field.sorted_values[::-1], cell_area=field.grid.cell_area)
 
 
 def radial_rearrangement(field: ScalarField) -> ScalarField:
@@ -401,19 +434,23 @@ def _fill_contours(field: ScalarField, levels) -> None:
     """Contour every level of ``levels`` strictly inside the field's range
     that the field's contour cache lacks, in sorted chunks of
     ``_LEVEL_CHUNK`` levels."""
-    vals = field.values_inside()
+    vmin, vmax = field.value_range
     todo = np.unique(np.asarray(levels, dtype=float))
-    todo = todo[(todo > vals.min()) & (todo < vals.max())]
+    todo = todo[(todo > vmin) & (todo < vmax)]
     todo = todo[[float(t) not in field._contours for t in todo]]
     if todo.size == 0:
         return
     blocks = _marching_blocks(field)
     for start in range(0, todo.size, _LEVEL_CHUNK):
         chunk = todo[start:start + _LEVEL_CHUNK]
-        for t, segments in zip(chunk, _contour_chunk(field, blocks, chunk)):
-            segments, lengths = _kept_segments(field, segments)
-            mids = 0.5 * (segments[:, 0, :] + segments[:, 1, :])
-            field._contours[float(t)] = (lengths, _bilinear_sample(field, mids))
+        kept = [_kept_segments(field, segments)
+                for segments in _contour_chunk(field, blocks, chunk)]
+        # the sample is pointwise: one call per chunk gives each level's bits
+        mids = np.concatenate([0.5 * (seg[:, 0, :] + seg[:, 1, :]) for seg, _ in kept])
+        gmag = np.split(_bilinear_sample(field, mids),
+                        np.cumsum([len(lengths) for _, lengths in kept])[:-1])
+        for t, (_, lengths), g in zip(chunk, kept, gmag):
+            field._contours[float(t)] = (lengths, g)
 
 
 @dataclass(frozen=True)
@@ -491,7 +528,7 @@ def quantile_levels(field: ScalarField, m: int = 64) -> np.ndarray:
     """Levels at the (k + 1/2)/m quantiles of the active (above-minimum)
     cell values, clipped away from the extremes."""
     vals = field.values_inside()
-    vmin, vmax = float(vals.min()), float(vals.max())
+    vmin, vmax = field.value_range
     if vmax <= vmin:
         return np.empty(0)
     span = vmax - vmin
@@ -514,10 +551,15 @@ class SlopeCoareaReport:
     levels_used: int
 
 
-def _usable_levels(field: ScalarField, levels: np.ndarray) -> list[tuple]:
+def _usable_levels(field: ScalarField, levels: np.ndarray) -> tuple[tuple, ...]:
     """(level, stats, super-level measure, profile slope) of each level of
     ``levels`` whose contour is usable: strictly inside the field's range,
-    nonempty and away from critical points (``LevelStats.reliable``)."""
+    nonempty and away from critical points (``LevelStats.reliable``).  The
+    table depends on the levels only, so it is built once per level list and
+    kept on the field."""
+    key = np.asarray(levels, dtype=float).tobytes()
+    if key in field._usable:
+        return field._usable[key]
     _fill_contours(field, levels)
     profile = decreasing_rearrangement(field)
     usable = []
@@ -529,7 +571,8 @@ def _usable_levels(field: ScalarField, levels: np.ndarray) -> list[tuple]:
         if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0:
             s = distribution_function(field, t)
             usable.append((t, ls, s, profile.slope(s)))
-    return usable
+    field._usable[key] = tuple(usable)
+    return field._usable[key]
 
 
 def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
@@ -607,8 +650,7 @@ def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[flo
     if not field.fixed_trace_ok():
         raise PreconditionError("field does not vanish on the fixed boundary")
     require_concave(field.grid.domain)
-    star = radial_rearrangement(field)
-    lhs = gradient_lp_norm(star, p) ** p
+    lhs = gradient_lp_norm(field.radial, p) ** p
     rhs = 2.0 ** (0.5 * p) * gradient_lp_norm(field, p) ** p
     return lhs, rhs
 

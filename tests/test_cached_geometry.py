@@ -179,3 +179,14 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(AttributeError):
         grid.h = 0.5
 
+
+def test_field_values_are_read_only():
+    field = random_admissible_field(domains.half_disk(), 1.0 / 32, np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        field.values[10, 10] = 5.0
+    with pytest.raises(ValueError):
+        field.values *= 2.0
+    with pytest.raises(ValueError):
+        field.sorted_values[0] = 5.0
+    assert field.scaled(2.0).values.flags.writeable is False
+

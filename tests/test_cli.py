@@ -134,10 +134,29 @@ _REARRANGE_GOLDEN = ("rearrange_halfdisk_h48_seed0.json",
                       "--p", "2", "--p", "3", "--seed", "0"])
 
 
+# the shape of the bench's one-exponent calls on generated domains: about
+# 3000 cells on the bounding box, one p
+_REARRANGE_ONE_P_GOLDEN = ("rearrange_random_concave_seed1_h00578_p3.json",
+                           ["rearrange", "--domain",
+                            str(Path(__file__).parent / "data" / "random_concave_seed1.json"),
+                            "--h", "0.0578", "--p", "3", "--seed", "1"])
+
+
 def test_rearrange_report_matches_golden(tmp_path):
     # the report of the per-level marching squares that preceded the batched
     # pass; the same method must reproduce it byte for byte
     name, argv = _REARRANGE_GOLDEN
+    golden = Path(__file__).parent / "data" / name
+    out = tmp_path / "re.json"
+    assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_rearrange_one_p_report_matches_golden(tmp_path):
+    # the report made when each exponent sorted the field, tabled its usable
+    # levels and built its rearrangement anew; the per-field caches must
+    # reproduce it byte for byte
+    name, argv = _REARRANGE_ONE_P_GOLDEN
     golden = Path(__file__).parent / "data" / name
     out = tmp_path / "re.json"
     assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
@@ -464,7 +483,7 @@ sys.exit(max(main(argv + ["--quiet", "--out", out]) for argv, out in json.loads(
 def test_grid_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE forces the kernel OpenBLAS would pick on another CPU;
     # the grid campaigns' and the symmetrize reports must not change with it
-    goldens = [_REARRANGE_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN]
+    goldens = [_REARRANGE_GOLDEN, _REARRANGE_ONE_P_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN]
     cores = ["Nehalem", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
     runs = {core: [(argv, str(tmp_path / f"{core}-{name}")) for name, argv in goldens]
             for core in cores}

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -50,6 +51,33 @@ def test_distribution_nonincreasing(disk_cone_128):
     ts = np.linspace(0.05, 0.95, 19)
     mus = [distribution_function(disk_cone_128, float(t)) for t in ts]
     assert all(b <= a for a, b in zip(mus, mus[1:]))
+
+
+def _plateau_field():
+    """A tapered random field cut flat below its 30% and above its 80%
+    quantile: many cells at zero, many at the top value."""
+    f = random_admissible_field(domains.half_disk(), 1.0 / 48, np.random.default_rng(3))
+    lo, hi = np.quantile(f.values_inside(), [0.3, 0.8])
+    return ScalarField(f.grid, np.clip(f.values - lo, 0.0, hi - lo))
+
+
+@pytest.mark.parametrize("name", ["plateau", "disk_cone_128", "half_disk_cone_128"])
+def test_distribution_equals_the_cell_count(name, request):
+    # the count read from the sorted values must equal, bit for bit, the
+    # count of cells above t, at ties, one ulp either side, outside the
+    # range and at NaN
+    f = _plateau_field() if name == "plateau" else request.getfixturevalue(name)
+    vals = f.values_inside()
+    distinct = np.unique(vals)
+    assert distinct.size < vals.size  # ties
+    ts = np.concatenate([distinct, np.nextafter(distinct, -np.inf),
+                         np.nextafter(distinct, np.inf),
+                         [vals.min() - 1.0, -np.inf, vals.max() + 1.0, np.inf, np.nan]])
+    for start in range(0, ts.size, 256):
+        chunk = ts[start:start + 256]
+        counts = (vals[None, :] > chunk[:, None]).sum(axis=1)
+        for t, count in zip(chunk, counts):
+            assert distribution_function(f, float(t)) == float(count) * f.grid.cell_area, t
 
 
 # -- decreasing rearrangement ---------------------------------------------------
@@ -366,3 +394,58 @@ def test_nonfinite_field_rejected(square_domain):
     vals[16, 16] = np.nan
     with pytest.raises(ValueError):
         ScalarField(grid, vals)
+
+
+# -- work shared by the exponents ------------------------------------------------------------
+
+def test_exponents_share_the_field_work(monkeypatch, tmp_path):
+    # one rearrange call at three exponents contours each level once, in one
+    # _contour_chunk and one gradient sample per chunk, sorts the field once
+    # and builds one radial rearrangement
+    from freebdry import rearrange
+    from freebdry.cli import main
+
+    calls = defaultdict(list)
+
+    def count(target, fn, record=lambda args: None):
+        def wrapper(*args, **kwargs):
+            calls[target].append(record(args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(target, wrapper)
+
+    count("freebdry.rearrange._contour_chunk", rearrange._contour_chunk, lambda a: a[2].copy())
+    count("freebdry.rearrange._bilinear_sample", rearrange._bilinear_sample)
+    count("freebdry.rearrange.radial_rearrangement", rearrange.radial_rearrangement)
+    count("numpy.sort", np.sort, lambda a: np.size(a[0]))
+    h = 1.0 / 48
+    argv = ["rearrange", "--domain", "halfdisk", "--h", str(h),
+            "--p", "1.5", "--p", "2", "--p", "3", "--seed", "0"]
+    assert main(argv + ["--quiet", "--out", str(tmp_path / "re.json")]) == 0
+    monkeypatch.undo()
+
+    field = random_admissible_field(domains.half_disk(), h, np.random.default_rng(0))
+    vmin, vmax = field.value_range
+    first = {float(t) for t in quantile_levels(field, 16) if vmin < t < vmax}
+    second = {float(t) for t in quantile_levels(field, 96) if vmin < t < vmax} - first
+    chunks = calls["freebdry.rearrange._contour_chunk"]
+    contoured = np.concatenate(chunks)
+    assert np.unique(contoured).size == contoured.size == len(first) + len(second)
+    per_chunk = rearrange._LEVEL_CHUNK
+    assert len(chunks) == -(-len(first) // per_chunk) + -(-len(second) // per_chunk)
+    assert len(calls["freebdry.rearrange._bilinear_sample"]) == len(chunks)
+    assert calls["numpy.sort"] == [field.values_inside().size]
+    assert len(calls["freebdry.rearrange.radial_rearrangement"]) == 1
+
+
+def test_checks_on_a_shared_field_equal_fresh_fields():
+    dom = domains.random_concave_domain(np.random.default_rng(5))
+    h = dom.diameter / 64.0
+
+    def fresh():
+        return random_admissible_field(dom, h, np.random.default_rng(17))
+
+    shared = fresh()
+    check_slope_coarea_identity(shared)
+    for p in (1.5, 2.0, 3.0):
+        for check in (check_profile_energy_bound, check_rearrangement_energy_factor):
+            assert check(shared, p) == check(fresh(), p), (check.__name__, p)
