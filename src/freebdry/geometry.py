@@ -75,9 +75,56 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
+def _pairwise_sum(terms: list) -> float:
+    """numpy's ``pairwise_sum`` on a float list: below 8 terms left to right
+    from 0.0; up to 128 terms in eight strided accumulators, combined
+    pairwise, then the remainder; above that the two halves, split at a
+    multiple of 8, each summed the same way."""
+    n = len(terms)
+    if n < 8:
+        res = 0.0
+        for t in terms:
+            res += t
+        return res
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    tail = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+    for i in range(8, tail, 8):
+        t0, t1, t2, t3, t4, t5, t6, t7 = terms[i:i + 8]
+        r0 += t0
+        r1 += t1
+        r2 += t2
+        r3 += t3
+        r4 += t4
+        r5 += t5
+        r6 += t6
+        r7 += t7
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for t in terms[tail:]:
+        res += t
+    return res
+
+
+def _float_sum(terms: list) -> float:
+    """``float(np.sum(terms))`` bit for bit, without making an array: the
+    reduction adds the pairwise sum to its identity 0.0, which turns a sum
+    of -0.0 into 0.0."""
+    return 0.0 + _pairwise_sum(terms)
+
+
+def _shoelace(x: list, y: list) -> float:
+    """Signed area of the polygon whose vertices have the float coordinates
+    ``x``, ``y``: the terms ``x_k y_{k+1} - x_{k+1} y_k``, summed as
+    ``np.sum`` sums them.  The one polygon-area helper."""
+    return 0.5 * _float_sum([xi * yj - xj * yi for xi, yi, xj, yj in
+                             zip(x, y, x[1:] + x[:1], y[1:] + y[:1])])
+
+
 def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
+    return _shoelace(pts[:, 0].tolist(), pts[:, 1].tolist())
 
 
 def _edge_lengths(pts: np.ndarray) -> np.ndarray:
@@ -558,9 +605,12 @@ def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     point pair the chord is probed at its midpoint and quarter points.  A
     probe counts as interior only if it lies inside the domain with positive
     clearance from the boundary, so chords running along a straight free
-    edge do not produce false negatives.  Returns a witness pair on failure;
-    an empty free chain is vacuously concave.  The report is computed once
-    per domain and kept on it.
+    edge do not produce false negatives.  The clearance is measured to the
+    free edges first, and to the fixed edges only for the inside probes
+    clear of the free ones: most inside probes lie on a free edge.  Returns
+    a witness pair, of the first clear probe, on failure; an empty free
+    chain is vacuously concave.  The report is computed once per domain and
+    kept on it.
     """
     if domain._concavity is None:
         domain._concavity = _sampled_concavity(domain)
@@ -584,17 +634,20 @@ def _sampled_concavity(domain: LabeledDomain) -> ConcavityReport:
     ii, jj = np.triu_indices(len(pts), k=1)
     a, b = pts[ii], pts[jj]
     probes = np.concatenate([a + f * (b - a) for f in (0.25, 0.5, 0.75)])
-    inside = domain.contains(probes)
-    if inside.any():
-        clear = np.zeros(len(probes), dtype=bool)
-        clear[inside] = domain.boundary_distance(probes[inside]) > tol
-        if clear.any():
-            k = int(np.argmax(clear))
-            pair = k % len(ii)
-            return ConcavityReport(
-                concave=False,
-                witness=(tuple(a[pair]), tuple(b[pair]), tuple(probes[k])),
-            )
+    # the inside probes, then those clear of the free edges, then those
+    # clear of the fixed edges too; each point-edge distance is measured on
+    # its own, so that is the clearance from the whole boundary
+    clear = np.flatnonzero(domain.contains(probes))
+    for label in (FREE, FIXED):
+        if clear.size:
+            clear = clear[domain.distance_to_label(probes[clear], label) > tol]
+    if clear.size:
+        k = int(clear[0])
+        pair = k % len(ii)
+        return ConcavityReport(
+            concave=False,
+            witness=(tuple(a[pair]), tuple(b[pair]), tuple(probes[k])),
+        )
     return ConcavityReport(concave=True)
 
 
@@ -637,7 +690,7 @@ def _clipped_area_above(projected: tuple[list, ...], offset: float) -> float:
             out_y.append(yi + t * (yj - yi))
     if len(out_x) < 3:
         return 0.0
-    return _signed_area(np.array((out_x, out_y)).T)
+    return _shoelace(out_x, out_y)
 
 
 def _loops_area_above(loops: Sequence[tuple[list, ...]], offset: float) -> float:
@@ -654,7 +707,8 @@ def equal_volume_cut(domain: LabeledDomain, theta: float) -> CutLine:
 
     The vertex projections onto the returned line's normal (that of
     ``theta`` mod pi) are computed once per cut; each bisection step clips
-    the projected loops at its offset.  The returned cut satisfies
+    the projected loops at its offset and takes their areas on float lists,
+    with no numpy call.  The returned cut satisfies
     |A_above - A_below| <= 1e-9 * area.
     """
     loops = [_projected(loop, CutLine(theta, 0.0)) for loop in domain._loops()]

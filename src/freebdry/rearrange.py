@@ -81,8 +81,8 @@ class ScalarField:
     ``values`` is read-only, so everything derived from it is computed on
     first use and kept on the field: the value range, the sorted values,
     the radial rearrangement, the gradient modulus, the mirror-extended
-    values and modulus that contouring reads, each level's contour and each
-    level list's usable-level table."""
+    values and modulus that contouring reads, each level's contour, and the
+    quantile levels and usable-level table of each level count."""
 
     def __init__(self, grid: RasterGrid, values):
         vals = np.asarray(values, dtype=float)
@@ -98,7 +98,7 @@ class ScalarField:
         self.values = np.where(grid.mask, np.clip(vals, 0.0, None), 0.0)
         self.values.flags.writeable = False
         self._contours = {}  # level -> (segment lengths, |grad u| at midpoints)
-        self._usable = {}    # level list -> _usable_levels table
+        self._usable = {}    # level count -> _usable_levels table
 
     @classmethod
     def from_function(cls, domain: LabeledDomain, h: float, fn) -> "ScalarField":
@@ -551,15 +551,16 @@ class SlopeCoareaReport:
     levels_used: int
 
 
-def _usable_levels(field: ScalarField, levels: np.ndarray) -> tuple[tuple, ...]:
-    """(level, stats, super-level measure, profile slope) of each level of
-    ``levels`` whose contour is usable: strictly inside the field's range,
-    nonempty and away from critical points (``LevelStats.reliable``).  The
-    table depends on the levels only, so it is built once per level list and
-    kept on the field."""
-    key = np.asarray(levels, dtype=float).tobytes()
-    if key in field._usable:
-        return field._usable[key]
+def _usable_levels(field: ScalarField, m: int) -> tuple[tuple, ...]:
+    """(level, stats, super-level measure, profile slope) of each of the
+    field's ``m`` quantile levels whose contour is usable: strictly inside
+    the field's range, nonempty and away from critical points
+    (``LevelStats.reliable``).  The table depends on ``m`` only, so the
+    levels and the table are computed once per level count and kept on the
+    field."""
+    if m in field._usable:
+        return field._usable[m]
+    levels = quantile_levels(field, m)
     _fill_contours(field, levels)
     profile = decreasing_rearrangement(field)
     usable = []
@@ -571,8 +572,8 @@ def _usable_levels(field: ScalarField, levels: np.ndarray) -> tuple[tuple, ...]:
         if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0:
             s = distribution_function(field, t)
             usable.append((t, ls, s, profile.slope(s)))
-    field._usable[key] = tuple(usable)
-    return field._usable[key]
+    field._usable[m] = tuple(usable)
+    return field._usable[m]
 
 
 def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
@@ -585,7 +586,7 @@ def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
     level shows nothing.
     """
     devs = []
-    for _, ls, _, slope in _usable_levels(field, quantile_levels(field, 16)):
+    for _, ls, _, slope in _usable_levels(field, 16):
         if slope != 0.0:
             rhs = ls.coarea_integral
             devs.append(abs(1.0 / abs(slope) - rhs) / rhs)
@@ -623,7 +624,7 @@ def check_profile_energy_bound(field: ScalarField, p: float,
     """
     if not 1.0 < p < math.inf:
         raise PreconditionError("the profile energy bound needs a finite p > 1")
-    usable = _usable_levels(field, quantile_levels(field, n_levels))
+    usable = _usable_levels(field, n_levels)
     if len(usable) < 2:
         raise PreconditionError(
             f"the profile energy bound needs 2 usable levels, found {len(usable)}"

@@ -152,6 +152,26 @@ def test_rearrange_report_matches_golden(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_rearrange_computes_quantile_levels_once_per_level_count(tmp_path, monkeypatch):
+    # three exponents share one field: its 16 slope levels and its 96
+    # profile levels are each computed once
+    import freebdry.rearrange as rearrange
+
+    counts = {}
+    quantile_levels = rearrange.quantile_levels
+
+    def counted(field, m=64):
+        counts[m] = counts.get(m, 0) + 1
+        return quantile_levels(field, m)
+
+    monkeypatch.setattr(rearrange, "quantile_levels", counted)
+    name, argv = _REARRANGE_GOLDEN
+    out = tmp_path / "re.json"
+    assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
+    assert counts == {16: 1, 96: 1}
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_rearrange_one_p_report_matches_golden(tmp_path):
     # the report made when each exponent sorted the field, tabled its usable
     # levels and built its rearrangement anew; the per-field caches must
@@ -166,16 +186,25 @@ def test_rearrange_one_p_report_matches_golden(tmp_path):
 _SYMMETRIZE_GOLDEN = ("symmetrize_trapezoid_steps50.json",
                       ["symmetrize", "--domain", "trapezoid", "--steps", "50"])
 
+# the shape of the bench's symmetrize calls: a generated domain, whose
+# 3 reflected steps cut through a bent free chain of 13 edges
+_SYMMETRIZE_GENERATED_GOLDEN = ("symmetrize_random_concave_seed1_steps12.json",
+                                ["symmetrize", "--domain",
+                                 str(Path(__file__).parent / "data" / "random_concave_seed1.json"),
+                                 "--steps", "12"])
+
 
 @pytest.mark.parametrize("name, argv", [
     _SYMMETRIZE_GOLDEN,
     ("isoperim_random50_seed3.json", ["isoperim", "--random", "50", "--seed", "3"]),
+    _SYMMETRIZE_GENERATED_GOLDEN,
 ])
 def test_polygon_report_matches_golden(tmp_path, name, argv):
     # reports of the numpy-scalar equal-area cut and random-domain generator
-    # that preceded the float-list loops, the symmetrize report since with
-    # its side-of-line tests elementwise; the same arithmetic must reproduce
-    # them byte for byte
+    # that preceded the float-list loops, the symmetrize reports since with
+    # their side-of-line tests elementwise and the generated one made with
+    # the numpy shoelace; the same arithmetic must reproduce them byte for
+    # byte
     golden = Path(__file__).parent / "data" / name
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
@@ -483,7 +512,8 @@ sys.exit(max(main(argv + ["--quiet", "--out", out]) for argv, out in json.loads(
 def test_grid_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE forces the kernel OpenBLAS would pick on another CPU;
     # the grid campaigns' and the symmetrize reports must not change with it
-    goldens = [_REARRANGE_GOLDEN, _REARRANGE_ONE_P_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN]
+    goldens = [_REARRANGE_GOLDEN, _REARRANGE_ONE_P_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN,
+               _SYMMETRIZE_GENERATED_GOLDEN]
     cores = ["Nehalem", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
     runs = {core: [(argv, str(tmp_path / f"{core}-{name}")) for name, argv in goldens]
             for core in cores}

@@ -29,6 +29,7 @@ from freebdry.geometry import (
     CutLine,
     LabeledDomain,
     _edge_lengths,
+    _float_sum,
     _loops_area_above,
     _projected,
     _reflected_half,
@@ -406,6 +407,27 @@ def test_signed_area_matches_roll_shoelace_near_degenerate():
         assert _signed_area(pts[::-1]) == reference_signed_area(pts[::-1])
     sliver = np.array([[0.0, 0.0], [1.0, 1e-17], [2.0, 0.0], [1.0, -1e-17]])
     assert _signed_area(sliver) == reference_signed_area(sliver)
+
+
+def test_float_sum_is_numpy_sum():
+    # the shoelace sums its float list as np.sum sums an array; if numpy's
+    # summation order changes, this fails before any report does.  Bits are
+    # compared, so that the sign of a zero counts too
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 301), 1000, 2100]:
+        signs = rng.choice([-1.0, 1.0], size=n)
+        cases = [rng.normal(size=n),
+                 signs * 10.0 ** rng.uniform(-8.0, 8.0, size=n),  # mixed magnitudes
+                 np.full(n, -0.0),
+                 rng.choice([0.0, -0.0], size=n),
+                 np.where(rng.random(n) < 0.5, -0.0, signs * rng.uniform(1e-8, 1e8, size=n))]
+        if n % 2 == 0:  # pairs that cancel to +0.0 exactly
+            cases.append(np.repeat(signs[: n // 2], 2) * np.tile([1.0, -1.0], n // 2))
+        for terms in cases:
+            assert bits(_float_sum(terms.tolist())) == bits(float(np.sum(terms))), n
 
 
 # -- random-domain generator ---------------------------------------------------
