@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="halfdisk")
     p.add_argument("--random", type=_at_least(0), default=0,
                    help="verify this many random concave domains instead (0: --domain)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_isoperim)
 
     p = add_parser("symmetrize", help="golden-angle reflection iteration")
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="halfdisk")
     p.add_argument("--h", type=float, default=1.0 / 64)
     p.add_argument("--p", type=float, action="append", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_rearrange)
 
     p = add_parser("sobolev", help="sharp Sobolev quotients and bubble ladder")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, action="append", default=None)
     p.add_argument("--random", type=_at_least(0), default=3,
                    help="random fields after the bubble ladder")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--plot-data", help="directory for CSV series")
     p.set_defaults(func=cmd_sobolev)
 
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="halfdisk")
     p.add_argument("--h", type=float, default=1.0 / 64)
     p.add_argument("--random", type=_at_least(1), default=3, help="random fields")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_moser)
 
     p = add_parser("counterexample", help="closed-form blow-up sweep")

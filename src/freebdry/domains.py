@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainValidationError
-from .geometry import FIXED, FREE, LabeledDomain, _edge_lengths, _signed_area
+from .errors import DegenerateCutError, DomainValidationError
+from .geometry import (FIXED, FREE, CutLine, LabeledDomain, _kept_arc, _next, _orient,
+                       _points_in_polygon, _segments_cross, _signed_area, _walk)
 
 DEFAULT_SEGMENTS = 64
 _RANDOM_SEGMENTS = 24  # of the generated half disks and bite circles
@@ -145,56 +146,30 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _cumulative(loop: np.ndarray) -> list[float]:
-    """cum[k] = boundary arc-length coordinate of vertex k; cum[m] = total."""
-    return [0.0, *np.cumsum(_edge_lengths(loop)).tolist()]
+def _loop_crossings(poly: np.ndarray, bite: np.ndarray) -> list[tuple] | None:
+    """The crossings of the edges of two closed loops, sorted along ``poly``,
+    each a pair of places: (edge, parameter) on ``poly``, then on ``bite``.
+    Edge i joins vertex i to vertex i + 1, and the parameter runs from 0 to
+    1 along it.  None when two edges overlap collinearly, which leaves no
+    crossing parameter."""
+    a, b = poly.T[:, :, None], _next(poly).T[:, :, None]
+    c, d = bite.T[:, None, :], _next(bite).T[:, None, :]
+    i, j = np.nonzero(_segments_cross(a, b, c, d, 0.0))
+    a, b, c, d = a[:, i, 0], b[:, i, 0], c[:, 0, j], d[:, 0, j]
+    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
+    if (o1 == o2).any():
+        return None
+    return sorted(zip(zip(i.tolist(), (o3 / (o3 - o4)).tolist()),
+                      zip(j.tolist(), (o1 / (o1 - o2)).tolist())))
 
 
-def _chain_between(loop: np.ndarray, s_from: float, s_to: float,
-                   cum: list[float]) -> list[np.ndarray]:
-    """Vertices of the loop strictly between two boundary coordinates,
-    walking in loop (CCW) order and wrapping around if needed."""
-    total = cum[-1]
-    if s_to <= s_from:
-        s_to += total
-    out = []
-    for k in range(len(loop)):
-        for cand in (cum[k], cum[k] + total):
-            if s_from < cand < s_to:
-                out.append((cand, loop[k]))
-    out.sort(key=lambda item: item[0])
-    return [p for _, p in out]
-
-
-def _edges(loop: list) -> list:
-    """(start, end) vertex pairs of a closed loop given as a list of points."""
-    return list(zip(loop, loop[1:] + loop[:1]))
-
-
-def _loop_intersections(poly: np.ndarray, bite: np.ndarray):
-    """Proper crossings between two closed loops with the boundary coordinate
-    of each crossing on both loops."""
-    cum_p, cum_b = _cumulative(poly), _cumulative(bite)
-    poly_edges = _edges(poly.tolist())
-    bite_edges = _edges(bite.tolist())
-    hits = []
-    for i, ((ax, ay), (bx, by)) in enumerate(poly_edges):
-        rx, ry = bx - ax, by - ay
-        for j, ((cx, cy), (dx, dy)) in enumerate(bite_edges):
-            sx, sy = dx - cx, dy - cy
-            denom = rx * sy - ry * sx
-            if abs(denom) < 1e-14:
-                continue
-            qx, qy = cx - ax, cy - ay
-            t = (qx * sy - qy * sx) / denom
-            u = (qx * ry - qy * rx) / denom
-            if 1e-9 < t < 1.0 - 1e-9 and 1e-9 < u < 1.0 - 1e-9:
-                hits.append({
-                    "s_poly": cum_p[i] + t * (cum_p[i + 1] - cum_p[i]),
-                    "s_bite": cum_b[j] + u * (cum_b[j + 1] - cum_b[j]),
-                    "point": np.array([ax + t * rx, ay + t * ry]),
-                })
-    return hits
+def _between(loop: np.ndarray, start: tuple, end: tuple) -> np.ndarray:
+    """The vertices of a loop strictly between two places on it, each an
+    (edge, parameter) pair, walking in loop order and wrapping around if
+    needed."""
+    (edge, t), (end_edge, end_t) = start, end
+    m = len(loop)
+    return _walk(loop, edge, (end_edge - edge) % m or m * (end_t < t))
 
 
 def _carve_bite(poly: np.ndarray, bite: np.ndarray) -> LabeledDomain | None:
@@ -205,42 +180,32 @@ def _carve_bite(poly: np.ndarray, bite: np.ndarray) -> LabeledDomain | None:
     which makes the free chain concave by construction.  Returns None when
     the crossing pattern is not the simple two-point one.
     """
-    hits = _loop_intersections(poly, bite)
-    if len(hits) != 2:
+    hits = _loop_crossings(poly, bite)
+    if hits is None or len(hits) != 2:
         return None
-    cum_p, cum_b = _cumulative(poly), _cumulative(bite)
-    h0, h1 = sorted(hits, key=lambda h: h["s_poly"])
-
-    chain_01 = _chain_between(poly, h0["s_poly"], h1["s_poly"], cum_p)
-    chain_10 = _chain_between(poly, h1["s_poly"], h0["s_poly"], cum_p)
-
-    def probe(chain, p_start, p_end):
-        return chain[len(chain) // 2] if chain else 0.5 * (p_start + p_end)
-
-    if not _point_in_convex(bite, probe(chain_01, h0["point"], h1["point"])):
-        kept, start, end = chain_01, h0, h1
-    elif not _point_in_convex(bite, probe(chain_10, h1["point"], h0["point"])):
-        kept, start, end = chain_10, h1, h0
-    else:
+    (p0, b0), (p1, b1) = hits
+    points = [poly[i] + t * (poly[(i + 1) % len(poly)] - poly[i]) for i, t in (p0, p1)]
+    chains = [_between(poly, p0, p1), _between(poly, p1, p0)]
+    # each chain's middle vertex, or the crossings' midpoint for an empty one
+    probes = [chain[len(chain) // 2] if len(chain) else 0.5 * (points[0] + points[1])
+              for chain in chains]
+    bitten = _points_in_polygon(np.array(probes), bite)
+    if bitten.all():
         return None
-
-    # bite boundary portion inside the polygon, traversed from `end` to `start`
-    fwd = _chain_between(bite, end["s_bite"], start["s_bite"], cum_b)
-    rev = _chain_between(bite, start["s_bite"], end["s_bite"], cum_b)
-
-    def inside_all(chain):
-        return all(_point_in_convex(poly, q) for q in chain)
-
-    if fwd and inside_all(fwd):
+    k = int(bitten[0])  # the first chain not bitten off is kept
+    kept, start, end = chains[k], (b0, b1)[k], (b1, b0)[k]
+    # the bite boundary inside the polygon, traversed from `end` to `start`;
+    # the two runs hold every bite vertex between them
+    fwd = _between(bite, end, start)
+    rev = _between(bite, start, end)
+    if len(fwd) and _points_in_polygon(fwd, poly).all():
         bite_chain = fwd
-    elif rev and inside_all(rev):
-        bite_chain = list(reversed(rev))
-    elif not fwd and not rev:
-        bite_chain = []
+    elif len(rev) and _points_in_polygon(rev, poly).all():
+        bite_chain = rev[::-1]
     else:
         return None
 
-    verts = [start["point"], *kept, end["point"], *bite_chain]
+    verts = np.vstack([points[k], kept, points[1 - k], bite_chain])
     labels = [FIXED] * (len(kept) + 1) + [FREE] * (len(bite_chain) + 1)
     try:
         dom = LabeledDomain(verts, labels)
@@ -249,21 +214,6 @@ def _carve_bite(poly: np.ndarray, bite: np.ndarray) -> LabeledDomain | None:
     if not 0.0 < dom.area < abs(_signed_area(poly)):
         return None
     return dom
-
-
-def _point_in_convex(poly: np.ndarray, p) -> bool:
-    px, py = float(p[0]), float(p[1])
-    sign = 0
-    for (ax, ay), (bx, by) in _edges(poly.tolist()):
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if abs(cr) < 1e-12:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
 
 
 def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
@@ -282,7 +232,7 @@ def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
         elif mode < 0.45:
             dom = _random_chord_cap(rng)
         else:
-            dom = _random_bite_domain(rng, _RANDOM_SEGMENTS)
+            dom = _random_bite_domain(rng)
         if dom is None:
             continue
         scale = rng.uniform(0.5, 2.0)
@@ -298,37 +248,23 @@ def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
 def _random_chord_cap(rng: np.random.Generator) -> LabeledDomain | None:
     """Convex polygon with one cap cut off; the flat chord is the free edge."""
     poly = _random_convex_polygon(rng, rng.integers(8, 16))
-    m = len(poly)
     theta = rng.uniform(0.0, math.pi)
-    normal = np.array([-math.sin(theta), math.cos(theta)])
-    proj = poly @ normal
+    proj = CutLine(theta, 0.0).signed_distance(poly)
     lo, hi = proj.min(), proj.max()
-    c = lo + rng.uniform(0.25, 0.6) * (hi - lo)
-    d = proj - c
+    cut = CutLine(theta, lo + rng.uniform(0.25, 0.6) * (hi - lo))
+    d = cut.signed_distance(poly)
     if (d > 0).sum() < 3:
         return None
-    verts, labels = [], []
-    for i in range(m):
-        j = (i + 1) % m
-        if d[i] >= 0:
-            verts.append(poly[i])
-            labels.append(FIXED)
-        if (d[i] > 0) != (d[j] > 0):
-            t = d[i] / (d[i] - d[j])
-            p = poly[i] + t * (poly[j] - poly[i])
-            # the exit crossing starts the chord edge; the entry crossing
-            # resumes the polygon boundary
-            verts.append(p)
-            labels.append(FREE if d[i] >= 0 else FIXED)
-    if labels.count(FREE) != 1:
-        return None
     try:
-        return LabeledDomain(verts, labels)
-    except DomainValidationError:
+        # the arc from the entering crossing to the leaving one, closed by
+        # the chord
+        arc, labels = _kept_arc(poly, [FIXED] * len(poly), cut, d)
+        return LabeledDomain(arc, labels + [FREE])
+    except (DegenerateCutError, DomainValidationError):
         return None
 
 
-def _random_bite_domain(rng: np.random.Generator, segments: int) -> LabeledDomain | None:
+def _random_bite_domain(rng: np.random.Generator) -> LabeledDomain | None:
     poly = _random_convex_polygon(rng, rng.integers(8, 16))
     m = len(poly)
     # bite disk centered at a random boundary point
@@ -336,7 +272,6 @@ def _random_bite_domain(rng: np.random.Generator, segments: int) -> LabeledDomai
     t = rng.uniform(0.2, 0.8)
     center = poly[i] + t * (poly[(i + 1) % m] - poly[i])
     rad = rng.uniform(0.25, 0.55)
-    nseg = max(12, segments)
-    ang = np.linspace(0.0, 2.0 * math.pi, nseg, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * math.pi, _RANDOM_SEGMENTS, endpoint=False)
     bite = np.column_stack([center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang)])
     return _carve_bite(poly, bite)

@@ -209,17 +209,19 @@ def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, .
 
 
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting, vectorized over ``points`` (N, 2)."""
+    """Even-odd ray casting, vectorized over ``points`` (N, 2).  An edge
+    from y1 to y2 is crossed by the rays of the points with
+    ``min(y1, y2) <= y < max(y1, y2)``; an edge whose band holds no point's
+    ordinate is skipped, so few points cost few edges."""
     px, py = points[:, 0], points[:, 1]
     inside = np.zeros(len(points), dtype=bool)
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = _next(x1), _next(y1)
-    for k in range(len(poly)):
-        cond = (y1[k] > py) != (y2[k] > py)
-        if not cond.any():
+    lo, hi = float(py.min(initial=np.inf)), float(py.max(initial=-np.inf))
+    x, y = poly[:, 0].tolist(), poly[:, 1].tolist()
+    for x1, y1, x2, y2 in zip(x, y, x[1:] + x[:1], y[1:] + y[:1]):
+        if min(y1, y2) > hi or max(y1, y2) <= lo or y1 == y2:
             continue
-        xi = x1[k] + (py - y1[k]) * (x2[k] - x1[k]) / (y2[k] - y1[k])
-        inside ^= cond & (px < xi)
+        xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= ((y1 > py) != (y2 > py)) & (px < xi)
     return inside
 
 
@@ -501,11 +503,11 @@ class LabeledDomain:
 
     def transformed(self, scale: float = 1.0, angle: float = 0.0, shift=(0.0, 0.0)) -> "LabeledDomain":
         c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
         shift = np.asarray(shift, dtype=float)
 
-        def tf(pts):
-            return (pts @ rot.T) * scale + shift
+        def tf(pts):  # elementwise rotation, with no BLAS product
+            x, y = pts[:, 0], pts[:, 1]
+            return np.column_stack([x * c - y * s, x * s + y * c]) * scale + shift
 
         return LabeledDomain(
             tf(self.vertices),
@@ -741,11 +743,17 @@ def _crossing(loop: np.ndarray, d: np.ndarray, i: int) -> np.ndarray:
     return loop[i] + t * (loop[j] - loop[i])
 
 
-def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
-                    d: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """The part of a simple CCW polygon on one side of ``cut``, where the
-    vertices' signed distances ``d`` are positive, followed by its mirror
-    image, as (vertices, labels).
+def _walk(loop: np.ndarray, edge: int, count: int) -> np.ndarray:
+    """The ``count`` vertices of a loop that follow edge ``edge``, in loop
+    order, wrapping around."""
+    return loop[(edge + 1 + np.arange(count)) % len(loop)]
+
+
+def _kept_arc(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
+              d: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The part of a simple CCW polygon's boundary on one side of ``cut``,
+    where the vertices' signed distances ``d`` are positive, as (vertices,
+    labels of the edges between them).
 
     The kept part must meet the line in one chord, so the boundary crosses
     the line exactly twice and the kept part is the arc from the entering
@@ -761,11 +769,17 @@ def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
     enter, leave = cross.tolist()
     if not kept[(enter + 1) % m]:  # the entering edge ends on the kept side
         enter, leave = leave, enter
-    interior = loop[(enter + 1 + np.arange((leave - enter) % m)) % m]
-    arc_labels = [labels[k % m] for k in range(enter, enter + len(interior) + 1)]
-    vertices = np.vstack([_crossing(loop, d, enter), interior, _crossing(loop, d, leave),
-                          cut.mirror(interior[::-1])])
-    return vertices, arc_labels + arc_labels[::-1]
+    count = (leave - enter) % m
+    arc = np.vstack([_crossing(loop, d, enter), _walk(loop, enter, count), _crossing(loop, d, leave)])
+    return arc, [labels[k % m] for k in range(enter, enter + count + 1)]
+
+
+def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
+                    d: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The kept arc of :func:`_kept_arc` followed by the mirror image of its
+    inner vertices, as (vertices, labels)."""
+    arc, arc_labels = _kept_arc(loop, labels, cut, d)
+    return np.vstack([arc, cut.mirror(arc[-2:0:-1])]), arc_labels + arc_labels[::-1]
 
 
 def _split_failure(loop: np.ndarray, d: np.ndarray, cross: np.ndarray, cut: CutLine) -> str:
@@ -926,7 +940,7 @@ class RasterGrid:
     A grid is immutable: its fields cannot be reassigned and ``mask`` and
     ``face_labels`` are read-only.  So the quantities that depend on the
     grid alone are computed on first use and kept on it: the distance from
-    every cell center to the fixed edges (``fixed_distance``), the largest
+    every inside cell center to the fixed edges (``fixed_distance``), the largest
     distance from an inside cell center to the boundary (``inradius``), and
     the rasterized disk of the same area (``equal_area_disk``).
     """
@@ -960,11 +974,12 @@ class RasterGrid:
 
     @cached_property
     def fixed_distance(self) -> np.ndarray:
-        """Distance from each cell center, inside or not, to the nearest
-        fixed edge (inf without fixed edges), in the grid's shape."""
+        """Distance from each inside cell center to the nearest fixed edge
+        (inf without fixed edges), in the grid's shape; inf outside."""
         X, Y = self.cell_centers()
-        dist = self.domain.distance_to_label(np.column_stack([X.ravel(), Y.ravel()]), FIXED)
-        dist = dist.reshape(X.shape)
+        dist = np.full(self.mask.shape, np.inf)
+        dist[self.mask] = self.domain.distance_to_label(
+            np.column_stack([X[self.mask], Y[self.mask]]), FIXED)
         dist.setflags(write=False)
         return dist
 

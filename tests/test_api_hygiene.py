@@ -158,3 +158,31 @@ def test_unread_field_detector_sees_a_leftover():
         "print(r.quotient)\n"
     )
     assert unread_fields(module, [module, caller]) == ["Entry.level", "Report.grad_norm"]
+
+
+def blas_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) of every matrix product in a module: the ``@`` operator
+    (a decorator is no operator), ``np.dot`` and ``np.linalg``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("dot", "linalg")
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"np.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["geometry", "domains"])
+def test_polygon_code_makes_no_blas_call(name):
+    # a BLAS product rounds as the kernel picked for the CPU rounds, so the
+    # polygon campaigns' reports would depend on the CPU
+    assert blas_calls(_tree(SRC / f"{name}.py")) == []
+
+
+def test_blas_call_detector_sees_a_leftover():
+    tree = ast.parse(
+        "@dataclass\nclass A:\n    pass\n"
+        "x = a @ b\ny = np.dot(a, b)\nz = numpy.linalg.norm(a)\nw @= v\nu = a.dot\n"
+    )
+    assert blas_calls(tree) == [(4, "@"), (5, "np.dot"), (6, "np.linalg"), (7, "@")]

@@ -193,18 +193,20 @@ _SYMMETRIZE_GENERATED_GOLDEN = ("symmetrize_random_concave_seed1_steps12.json",
                                  str(Path(__file__).parent / "data" / "random_concave_seed1.json"),
                                  "--steps", "12"])
 
+_ISOPERIM_GOLDEN = ("isoperim_random50_seed3.json", ["isoperim", "--random", "50", "--seed", "3"])
+
 
 @pytest.mark.parametrize("name, argv", [
     _SYMMETRIZE_GOLDEN,
-    ("isoperim_random50_seed3.json", ["isoperim", "--random", "50", "--seed", "3"]),
+    _ISOPERIM_GOLDEN,
     _SYMMETRIZE_GENERATED_GOLDEN,
 ])
 def test_polygon_report_matches_golden(tmp_path, name, argv):
-    # reports of the numpy-scalar equal-area cut and random-domain generator
-    # that preceded the float-list loops, the symmetrize reports since with
-    # their side-of-line tests elementwise and the generated one made with
-    # the numpy shoelace; the same arithmetic must reproduce them byte for
-    # byte
+    # symmetrize reports of the numpy-scalar equal-area cut that preceded
+    # the float-list loops, since with their side-of-line tests elementwise
+    # and the generated one made with the numpy shoelace, and the isoperim
+    # report of the generator built on geometry's kernels; the same
+    # arithmetic must reproduce them byte for byte
     golden = Path(__file__).parent / "data" / name
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0
@@ -344,6 +346,19 @@ def test_random_count_bounds(capsys, argv, code):
     assert exit_code(argv + ["--quiet"]) == code
     if code == 2:
         assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["isoperim", "--random", "2", "--seed", "-1"],
+    ["rearrange", "--seed", "-3"],
+    ["sobolev", "--seed", "-2"],
+    ["moser", "--seed", "-1"],
+], ids=["isoperim", "rearrange", "sobolev", "moser"])
+def test_negative_seed_exits_2(capsys, argv):
+    # numpy's generator refuses a negative seed; the parser refuses it first
+    assert exit_code(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -511,9 +526,10 @@ sys.exit(max(main(argv + ["--quiet", "--out", out]) for argv, out in json.loads(
                     reason="needs numpy on OpenBLAS built with DYNAMIC_ARCH, on x86-64")
 def test_grid_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE forces the kernel OpenBLAS would pick on another CPU;
-    # the grid campaigns' and the symmetrize reports must not change with it
+    # the grid campaigns', the symmetrize and the generated isoperim reports
+    # must not change with it
     goldens = [_REARRANGE_GOLDEN, _REARRANGE_ONE_P_GOLDEN, *_FIELD_GOLDENS, _SYMMETRIZE_GOLDEN,
-               _SYMMETRIZE_GENERATED_GOLDEN]
+               _SYMMETRIZE_GENERATED_GOLDEN, _ISOPERIM_GOLDEN]
     cores = ["Nehalem", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
     runs = {core: [(argv, str(tmp_path / f"{core}-{name}")) for name, argv in goldens]
             for core in cores}

@@ -1,27 +1,37 @@
-"""The float-list equal-area cut, the reflection split and polygon helpers
-against their references.
+"""The float-list equal-area cut, the reflection split, the random-domain
+generator and polygon helpers against their references.
 
 The references below are the numpy-scalar versions that preceded the
 float-list loops: a Sutherland-Hodgman clip that projects the loop at every
-bisection step, an ``np.roll`` shoelace, and the crossing search of the
-random-domain generator.  Each side-of-line test is written as the cut
-line's kernel computes it, ``x * n[0] + y * n[1] - offset``, elementwise.
-The float-list code keeps every floating-point operation and its order, so
-the results must agree exactly (``==``): each symmetrize report depends on
-the offset's last bit.  The split reference stitches any number of kept
-components and chords; the two-crossing arc must give the same union, bit
-for bit, or the same error text.
+bisection step and an ``np.roll`` shoelace.  Each side-of-line test is
+written as the cut line's kernel computes it, ``x * n[0] + y * n[1] -
+offset``, elementwise.  The float-list code keeps every floating-point
+operation and its order, so the results must agree exactly (``==``): each
+symmetrize report depends on the offset's last bit.  The split reference
+stitches any number of kept components and chords; the two-crossing arc
+must give the same union, bit for bit, or the same error text.
+
+The generator reference is the one that preceded geometry's kernels: a
+pure-Python crossing search keyed by arc length, a convex inside test with
+a 1e-12 tolerance, and the chord cap and rotation through BLAS ``@``
+products.  The generator now finds its crossings with ``_segments_cross``
+and ``_orient``, so its parameters round differently: it must make the same
+decisions and draws and the same domains to 1e-14 of their scale, with a
+chord cap numbered from its entering crossing.  The even-odd inside test,
+which skips the edges whose ordinate band holds no point, must agree bit
+for bit with the per-edge loop.
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from freebdry import domains
-from freebdry.domains import _loop_intersections, _point_in_convex
-from freebdry.errors import DegenerateCutError
+from freebdry.domains import _carve_bite, _loop_crossings
+from freebdry.errors import DegenerateCutError, DomainValidationError
 from freebdry.geometry import (
     FIXED,
     FREE,
@@ -31,6 +41,7 @@ from freebdry.geometry import (
     _edge_lengths,
     _float_sum,
     _loops_area_above,
+    _points_in_polygon,
     _projected,
     _reflected_half,
     _signed_area,
@@ -432,6 +443,120 @@ def test_float_sum_is_numpy_sum():
 
 # -- random-domain generator ---------------------------------------------------
 
+def reference_chain_between(loop, s_from, s_to, cum):
+    """Vertices of the loop strictly between two boundary coordinates,
+    walking in loop order and wrapping around if needed."""
+    total = cum[-1]
+    if s_to <= s_from:
+        s_to += total
+    out = []
+    for k in range(len(loop)):
+        for cand in (cum[k], cum[k] + total):
+            if s_from < cand < s_to:
+                out.append((cand, loop[k]))
+    out.sort(key=lambda item: item[0])
+    return [p for _, p in out]
+
+
+def reference_carve_bite(poly, bite):
+    hits = reference_loop_intersections(poly, bite)
+    if len(hits) != 2:
+        return None
+    cum_p, cum_b = reference_cumulative(poly), reference_cumulative(bite)
+    h0, h1 = sorted(hits, key=lambda h: h["s_poly"])
+    chain_01 = reference_chain_between(poly, h0["s_poly"], h1["s_poly"], cum_p)
+    chain_10 = reference_chain_between(poly, h1["s_poly"], h0["s_poly"], cum_p)
+
+    def probe(chain, p_start, p_end):
+        return chain[len(chain) // 2] if chain else 0.5 * (p_start + p_end)
+
+    if not reference_point_in_convex(bite, probe(chain_01, h0["point"], h1["point"])):
+        kept, start, end = chain_01, h0, h1
+    elif not reference_point_in_convex(bite, probe(chain_10, h1["point"], h0["point"])):
+        kept, start, end = chain_10, h1, h0
+    else:
+        return None
+    fwd = reference_chain_between(bite, end["s_bite"], start["s_bite"], cum_b)
+    rev = reference_chain_between(bite, start["s_bite"], end["s_bite"], cum_b)
+
+    def inside_all(chain):
+        return all(reference_point_in_convex(poly, q) for q in chain)
+
+    if fwd and inside_all(fwd):
+        bite_chain = fwd
+    elif rev and inside_all(rev):
+        bite_chain = list(reversed(rev))
+    elif not fwd and not rev:
+        bite_chain = []
+    else:
+        return None
+    verts = [start["point"], *kept, end["point"], *bite_chain]
+    labels = [FIXED] * (len(kept) + 1) + [FREE] * (len(bite_chain) + 1)
+    try:
+        dom = LabeledDomain(verts, labels)
+    except DomainValidationError:
+        return None
+    if not 0.0 < dom.area < abs(reference_signed_area(poly)):
+        return None
+    return dom
+
+
+def reference_chord_cap(rng):
+    """The cap cut off by a BLAS ``@`` side-of-line test, numbered from
+    vertex 0 of the polygon."""
+    poly = domains._random_convex_polygon(rng, rng.integers(8, 16))
+    m = len(poly)
+    theta = rng.uniform(0.0, math.pi)
+    proj = poly @ np.array([-math.sin(theta), math.cos(theta)])
+    lo, hi = proj.min(), proj.max()
+    d = proj - (lo + rng.uniform(0.25, 0.6) * (hi - lo))
+    if (d > 0).sum() < 3:
+        return None
+    verts, labels = [], []
+    for i in range(m):
+        j = (i + 1) % m
+        if d[i] >= 0:
+            verts.append(poly[i])
+            labels.append(FIXED)
+        if (d[i] > 0) != (d[j] > 0):
+            t = d[i] / (d[i] - d[j])
+            verts.append(poly[i] + t * (poly[j] - poly[i]))
+            labels.append(FREE if d[i] >= 0 else FIXED)
+    if labels.count(FREE) != 1:
+        return None
+    try:
+        return LabeledDomain(verts, labels)
+    except DomainValidationError:
+        return None
+
+
+def reference_random_concave_domain(rng, log):
+    """The generator on the reference helpers, rotating by a BLAS ``@``;
+    ``log`` gets (builder, accepted) for each chord cap and bite drawn."""
+    for _ in range(60):
+        mode = rng.uniform()
+        if mode < 0.18:
+            dom = domains.half_disk(radius=1.0, segments=24)
+        elif mode < 0.45:
+            dom = reference_chord_cap(rng)
+            log.append(("_random_chord_cap", dom is not None))
+        else:
+            dom = reference_carve_bite(*next(_bite_cases(rng, 1)))
+            log.append(("_random_bite_domain", dom is not None))
+        if dom is None:
+            continue
+        scale = rng.uniform(0.5, 2.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        shift = rng.uniform(-1.0, 1.0, 2)
+        c, s = math.cos(angle), math.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        try:
+            return LabeledDomain((dom.vertices @ rot.T) * scale + shift, list(dom.labels))
+        except DomainValidationError:
+            continue
+    raise RuntimeError("random domain generation failed repeatedly")
+
+
 def _bite_cases(rng, n):
     """Convex polygons and disk bites centered on their boundary, drawn the
     way ``random_concave_domain`` draws them."""
@@ -446,45 +571,112 @@ def _bite_cases(rng, n):
                                      center[1] + rad * np.sin(ang)])
 
 
-def _hit_tuples(hits):
-    return [(h["s_poly"], h["s_bite"], h["point"].tolist()) for h in hits]
+def _point_on(loop, edge, t):
+    return loop[edge] + t * (loop[(edge + 1) % len(loop)] - loop[edge])
 
 
-def test_loop_intersections_match_reference():
+def test_loop_crossings_match_reference():
+    # the same crossings in the same order along the polygon, each the same
+    # point on both loops and at the same boundary coordinates
     rng = np.random.default_rng(7)
     total = 0
     for poly, bite in _bite_cases(rng, 150):
-        new, ref = _loop_intersections(poly, bite), reference_loop_intersections(poly, bite)
-        assert _hit_tuples(new) == _hit_tuples(ref)
+        ref = sorted(reference_loop_intersections(poly, bite), key=lambda h: h["s_poly"])
+        new = _loop_crossings(poly, bite)
+        assert len(new) == len(ref)
+        cum_p, cum_b = reference_cumulative(poly), reference_cumulative(bite)
+        tol = 1e-14 * cum_p[-1]
+        for ((i, t), (j, u)), h in zip(new, ref):
+            assert 0.0 < t < 1.0 and 0.0 < u < 1.0
+            assert abs(cum_p[i] + t * (cum_p[i + 1] - cum_p[i]) - h["s_poly"]) <= tol
+            assert abs(cum_b[j] + u * (cum_b[j + 1] - cum_b[j]) - h["s_bite"]) <= tol
+            assert np.abs(_point_on(poly, i, t) - h["point"]).max() <= tol
+            assert np.abs(_point_on(bite, j, u) - h["point"]).max() <= tol
         total += len(ref)
     assert total >= 250
-    # a bite whose boundary passes through polygon vertices, and no crossing
+
+
+def test_carve_bite_refuses_square_cases_without_warnings():
+    # a bite along an edge (collinear overlap: no crossing parameter), one
+    # inside the square and one apart; the reference finds no crossing in
+    # any of them
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    for bite in (square + [0.5, 0.0], square * 0.25 + 0.3, square + 5.0):
-        assert _hit_tuples(_loop_intersections(square, bite)) == _hit_tuples(
-            reference_loop_intersections(square, bite))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _loop_crossings(square, square + [0.5, 0.0]) is None
+        for bite in (square + [0.5, 0.0], square * 0.25 + 0.3, square + 5.0):
+            assert reference_loop_intersections(square, bite) == []
+            assert _carve_bite(square, bite) is None
 
 
-def test_point_in_convex_matches_reference():
-    rng = np.random.default_rng(8)
-    for poly, bite in _bite_cases(rng, 40):
-        probes = np.concatenate([rng.uniform(-1.5, 1.5, (20, 2)), poly, bite])
-        for p in probes:
-            assert _point_in_convex(bite, p) == reference_point_in_convex(bite, p)
-            assert _point_in_convex(poly, p) == reference_point_in_convex(poly, p)
+def _cyclic_shift(labels, ref_labels):
+    """The shift s with ``ref_labels[s:] + ref_labels[:s] == labels``."""
+    m = len(ref_labels)
+    return next(s for s in range(m) if ref_labels[s:] + ref_labels[:s] == labels)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(10))
 def test_generated_domains_match_reference_generator(seed, monkeypatch):
-    # the generator with the reference helpers swapped in draws the same
-    # domains, vertex for vertex
-    rng = np.random.default_rng(seed)
-    new = [domains.random_concave_domain(rng) for _ in range(15)]
-    monkeypatch.setattr(domains, "_loop_intersections", reference_loop_intersections)
-    monkeypatch.setattr(domains, "_point_in_convex", reference_point_in_convex)
-    monkeypatch.setattr(domains, "_cumulative", reference_cumulative)
-    rng = np.random.default_rng(seed)
-    ref = [domains.random_concave_domain(rng) for _ in range(15)]
-    for a, b in zip(new, ref):
-        assert np.array_equal(a.vertices, b.vertices)
-        assert a.labels == b.labels
+    # the same accept/reject decision for every chord cap and bite, the same
+    # draws, and the same domains: labels up to a cyclic shift (a chord cap
+    # starts at its entering crossing) and vertices to 1e-14 of the scale
+    # (the crossing parameters and the rotation round differently)
+    log = []
+
+    def logged(name):
+        build = getattr(domains, name)
+
+        def wrapper(rng):
+            dom = build(rng)
+            log.append((name, dom is not None))
+            return dom
+        return wrapper
+
+    for name in ("_random_chord_cap", "_random_bite_domain"):
+        monkeypatch.setattr(domains, name, logged(name))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_log = []
+    for _ in range(200):
+        dom = domains.random_concave_domain(rng)
+        ref = reference_random_concave_domain(ref_rng, ref_log)
+        assert log == ref_log
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(dom.labels) == len(ref.labels)
+        shift = _cyclic_shift(list(dom.labels), list(ref.labels))
+        aligned = np.roll(ref.vertices, -shift, axis=0)
+        assert np.abs(dom.vertices - aligned).max() <= 1e-14 * ref.diameter
+    assert any(not accepted for _, accepted in log)
+
+
+def reference_points_in_polygon(points, poly):
+    """Even-odd ray casting, one edge at a time, with no band skip."""
+    px, py = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    m = len(poly)
+    for k in range(m):
+        (x1, y1), (x2, y2) = poly[k], poly[(k + 1) % m]
+        cond = (y1 > py) != (y2 > py)
+        if not cond.any():
+            continue
+        xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (px < xi)
+    return inside
+
+
+def test_points_in_polygon_matches_per_edge_loop():
+    rng = np.random.default_rng(9)
+    polys = [domains.l_shape().vertices, domains.unit_square().vertices,  # horizontal edges
+             domains.half_disk().vertices, domains.builtin_domain("annulus").holes[0]]
+    polys += [poly for pair in _bite_cases(rng, 3) for poly in pair]
+    polys += [domains.random_concave_domain(rng).vertices for _ in range(4)]
+    for poly in polys:
+        lo, hi = poly.min(axis=0) - 0.1, poly.max(axis=0) + 0.1
+        for n in (0, 1, 2, 3, 17, 5000):
+            pts = rng.uniform(lo, hi, (n, 2))
+            # points at the vertices' ordinates, on the vertices and on edges
+            k = min(n, len(poly))
+            pts[:k, 1] = poly[:k, 1]
+            pts[k:2 * k] = poly[:len(pts[k:2 * k])]
+            mid = 0.5 * (poly + np.roll(poly, -1, axis=0))
+            pts[2 * k:3 * k] = mid[:len(pts[2 * k:3 * k])]
+            assert np.array_equal(_points_in_polygon(pts, poly), reference_points_in_polygon(pts, poly))

@@ -66,7 +66,7 @@ def _fixed_refinement_suite():
     rng = np.random.default_rng(0)
     doms = []
     while len(doms) < 7:
-        d = domains._random_bite_domain(rng, 24)
+        d = domains._random_bite_domain(rng)
         if d is not None:
             doms.append(d.transformed(angle=rng.uniform(0, 3), shift=rng.uniform(-1, 1, 2)))
     doms.append(domains.half_disk().transformed(angle=0.37, shift=(0.21, -0.4)))
