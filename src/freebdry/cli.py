@@ -6,7 +6,9 @@ CSV, and exits with a machine-readable status:
 
     0  all asserted inequalities hold within the fixed slack (constants below, not flags)
     2  input parsing failed, or ``--h``, ``--n``/``--p``, ``--random`` or ``--steps`` is out of range
-    3  a precondition was violated (e.g. non-concave free chain, or NaN/inf ``--epsilon``/``--p``)
+    3  a precondition was violated: the free chain of the domain of ``isoperim``,
+       ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave, a field does
+       not vanish on the fixed boundary, or ``--epsilon``/``--p`` is NaN/inf
     4  an asserted inequality failed
 
 Plot-ready CSV series (one file per ladder) land in the directory given by
@@ -20,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +38,8 @@ from .errors import (
 )
 from .geometry import (
     LabeledDomain,
-    is_concave_free_boundary,
     isoperimetric_report,
+    require_admissible,
     symmetrize_iterate,
 )
 from .quotients import (
@@ -128,20 +131,8 @@ def _write_series(args, name: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    rows = []
-    for p in args.p:
-        c = consts.sharp_constants(args.n, p)
-        rows.append({
-            "n": c.n,
-            "p": c.p,
-            "p_star": c.p_star,
-            "sobolev": c.sobolev,
-            "moser_exponent": c.moser_exponent,
-            "sphere_area": c.sphere_area,
-            "iso_std": c.iso_std,
-            "iso_free": c.iso_free,
-        })
-    cols = ["n", "p", "p_star", "sobolev", "moser_exponent", "sphere_area", "iso_std", "iso_free"]
+    rows = [asdict(consts.sharp_constants(args.n, p)) for p in args.p]
+    cols = [f.name for f in fields(consts.SharpConstants)]
     return _emit(args, {"command": "constants", "values": rows}, table=(cols, rows))
 
 
@@ -154,24 +145,13 @@ def cmd_isoperim(args) -> int:
     else:
         doms = [_load_domain(args.domain)]
     for k, dom in enumerate(doms):
-        conc = is_concave_free_boundary(dom)
+        conc = require_admissible(dom)
         rep = isoperimetric_report(dom)
-        entry = {
-            "index": k,
-            "ratio": rep.ratio,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "area": rep.area,
-            "fixed_length": rep.fixed_length,
-            "concave": conc.concave,
-            "vacuous": conc.vacuous,
-        }
-        reports.append(entry)
-        if conc.concave and rep.margin < -ISOPERIM_SLACK * rep.bound:
+        reports.append({"index": k, **asdict(rep), "concave": conc.concave, "vacuous": conc.vacuous})
+        if rep.margin < -ISOPERIM_SLACK * rep.bound:
             failures.append({"index": k, "margin": rep.margin})
     payload = {"command": "isoperim", "reports": reports, "failures": failures}
-    cols = ["index", "ratio", "bound", "margin", "area", "fixed_length", "concave", "vacuous"]
-    return _emit(args, payload, table=(cols, reports))
+    return _emit(args, payload, table=(list(reports[0]), reports))
 
 
 def cmd_symmetrize(args) -> int:

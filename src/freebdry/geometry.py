@@ -45,7 +45,7 @@ __all__ = [
     "SymmetrizationResult",
     "RasterGrid",
     "is_concave_free_boundary",
-    "require_concave",
+    "require_admissible",
     "isoperimetric_report",
     "equal_volume_cut",
     "symmetrization_step",
@@ -576,11 +576,11 @@ class ConcavityReport:
 
 @dataclass(frozen=True)
 class IsoperimetricReport:
-    fixed_length: float
-    area: float
     ratio: float
     bound: float
     margin: float
+    area: float
+    fixed_length: float
 
 
 @dataclass(frozen=True)
@@ -619,12 +619,26 @@ def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     return domain._concavity
 
 
-def require_concave(domain: LabeledDomain) -> ConcavityReport:
-    """The concavity report of a domain whose free chain must be concave;
-    raises :class:`PreconditionError` when it is not."""
+def require_admissible(domain: LabeledDomain, field=None) -> ConcavityReport:
+    """The hypotheses of every theorem a campaign tests, checked in one
+    place: the free chain of ``domain`` is concave, and a given field on a
+    rasterization of it vanishes on the fixed boundary, up to the value a
+    smooth function vanishing at the true boundary can take one cell in,
+    ``max(1e-10 vmax, 2 h max|grad u|)``, on the inside cells with a fixed
+    face.  Returns the concavity report; raises :class:`PreconditionError`
+    when a hypothesis fails.  ``field`` is a ``rearrange.ScalarField``, read
+    by its attributes because this module cannot import that one."""
     report = is_concave_free_boundary(domain)
     if not report.concave:
         raise PreconditionError("free chain is not concave with respect to the domain")
+    if field is not None:
+        grid = field.grid
+        vals = field.values[(grid.face_labels == FACE_FIXED).any(axis=2) & grid.mask]
+        if vals.size:
+            gmax = float(field.grad_magnitude[grid.mask].max())
+            allowance = max(1e-10 * field.max_value, 2.0 * grid.h * gmax)
+            if float(np.abs(vals).max()) > allowance:
+                raise PreconditionError("field does not vanish on the fixed boundary")
     return report
 
 

@@ -29,7 +29,7 @@ from .geometry import (
     LabeledDomain,
     _signed_area,
     rasterize,
-    require_concave,
+    require_admissible,
 )
 from .rearrange import ScalarField, gradient_lp_norm
 
@@ -78,9 +78,7 @@ def sobolev_report(field: ScalarField, p: float) -> SobolevReport:
         raise PreconditionError("planar Sobolev reports need 1 < p < 2")
     if field.max_value <= 0.0:
         raise PreconditionError("the quotient of the zero field is undefined")
-    if not field.fixed_trace_ok():
-        raise PreconditionError("field does not vanish on the fixed boundary")
-    report = require_concave(field.grid.domain)
+    report = require_admissible(field.grid.domain, field)
     p_star = critical_exponent(2, p)
     quotient = gradient_lp_norm(field, p) / lp_norm(field, p_star)
     bound = 1.0 / (math.sqrt(2.0) * sobolev_best_constant(2, p))
@@ -169,7 +167,8 @@ class MoserReport:
 def moser_report(field: ScalarField) -> MoserReport:
     """Exponential functional sum exp(2 pi u^2) h^2 of a unit-energy field.
 
-    Requires the Dirichlet energy to be at most 1.02.  The
+    Requires the Dirichlet energy to be at most 1.02, a concave free chain
+    and a field vanishing on the fixed boundary.  The
     comparison value is the same functional of the field's own radial
     rearrangement on the equal-area disk, which by equimeasurability carries
     the same value up to grid error and is the quantity controlled by the
@@ -181,8 +180,7 @@ def moser_report(field: ScalarField) -> MoserReport:
         raise PreconditionError(
             f"Dirichlet energy {grad2**2:.4f} exceeds the unit constraint"
         )
-    if not field.fixed_trace_ok():
-        raise PreconditionError("field does not vanish on the fixed boundary")
+    require_admissible(field.grid.domain, field)
     cell = field.grid.cell_area
     functional = float(np.exp(beta * field.values_inside() ** 2).sum()) * cell
     star = field.radial

@@ -49,12 +49,11 @@ from .errors import PreconditionError
 from .geometry import (
     _DIRS,
     FIXED,
-    FACE_FIXED,
     LabeledDomain,
     RasterGrid,
     _shifted,
     rasterize,
-    require_concave,
+    require_admissible,
 )
 
 __all__ = [
@@ -194,19 +193,6 @@ class ScalarField:
     def mirrored_grad(self) -> np.ndarray:
         """|grad u| extended one cell past the mask (``_mirror_extended``)."""
         return _mirror_extended(self, self.grad_magnitude)
-
-    # -- fixed-boundary trace -----------------------------------------------------
-
-    def fixed_trace_ok(self) -> bool:
-        """Whether the field vanishes on the fixed boundary, up to the value a
-        smooth function vanishing at the true boundary can take one cell in."""
-        vals = self.values[(self.grid.face_labels == FACE_FIXED).any(axis=2) & self.grid.mask]
-        if vals.size == 0:
-            return True
-        vmax = self.max_value
-        gmax = float(self.grad_magnitude[self.grid.mask].max())
-        allowance = max(1e-10 * vmax, 2.0 * self.grid.h * gmax)
-        return float(np.abs(vals).max()) <= allowance
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +634,7 @@ def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[flo
     """
     if not 1.0 < p < math.inf:
         raise PreconditionError("the energy factor bound needs a finite p > 1")
-    if not field.fixed_trace_ok():
-        raise PreconditionError("field does not vanish on the fixed boundary")
-    require_concave(field.grid.domain)
+    require_admissible(field.grid.domain, field)
     lhs = gradient_lp_norm(field.radial, p) ** p
     rhs = 2.0 ** (0.5 * p) * gradient_lp_norm(field, p) ** p
     return lhs, rhs

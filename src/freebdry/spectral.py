@@ -38,7 +38,7 @@ from .geometry import (
     RasterGrid,
     _shifted,
     rasterize,
-    require_concave,
+    require_admissible,
 )
 from .rearrange import ScalarField
 
@@ -202,7 +202,7 @@ def check_frequency_vs_half_ball(domain: LabeledDomain, h: float) -> FrequencyRe
     Requires the free chain to be concave (the hypothesis under which the
     bound holds); an empty free chain is allowed but flagged as vacuous.
     """
-    report = require_concave(domain)
+    report = require_admissible(domain)
     problem = assemble(domain, h)
     lam, _, iters = principal_frequency(problem)
     reference = half_ball_reference(domain.area)

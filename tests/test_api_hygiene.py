@@ -186,3 +186,43 @@ def test_blas_call_detector_sees_a_leftover():
         "x = a @ b\ny = np.dot(a, b)\nz = numpy.linalg.norm(a)\nw @= v\nu = a.dot\n"
     )
     assert blas_calls(tree) == [(4, "@"), (5, "np.dot"), (6, "np.linalg"), (7, "@")]
+
+
+def callers(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each call of ``name``, called by its
+    bare name or as an attribute; ``<module>`` for a call outside every
+    function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_one_admissibility_gate():
+    # every campaign's hypotheses (a concave free chain, a field vanishing on
+    # the fixed boundary) are checked in geometry.require_admissible alone
+    gate_callers = [c for p in SRC.glob("*.py")
+                    for c in callers(_tree(p), "is_concave_free_boundary")]
+    assert gate_callers == ["require_admissible"]
+    phrase = "does not vanish on the fixed boundary"
+    assert sum(p.read_text().count(phrase) for p in SRC.glob("*.py")) == 1
+
+
+def test_caller_detector_sees_a_leftover():
+    tree = ast.parse(
+        "def require_admissible(d):\n    return is_concave_free_boundary(d)\n"
+        "class Report:\n    def check(self, d):\n"
+        "        return geometry.is_concave_free_boundary(d).concave\n"
+        "ok = is_concave_free_boundary(square)\n"
+        "is_concave_free_boundary\n"
+    )
+    assert callers(tree, "is_concave_free_boundary") == ["<module>", "check", "require_admissible"]

@@ -169,4 +169,6 @@ def test_sharp_constants_bundle():
     c = sharp_constants(2, 1.5)
     assert c.p_star == pytest.approx(6.0)
     assert c.sobolev == pytest.approx(sobolev_best_constant(2, 1.5))
+    assert c.moser_exponent == moser_trudinger_beta(2)
+    assert c.sphere_area == sphere_area(2)
     assert c.iso_free < c.iso_std

@@ -77,8 +77,11 @@ def test_sobolev_bad_p_rejected(half_disk_cone_128):
 
 def test_sobolev_trace_violation_rejected(half_disk_domain):
     f = ScalarField.from_function(half_disk_domain, 1.0 / 64, lambda X, Y: np.ones_like(X))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not vanish on the fixed boundary"):
         sobolev_report(f, 1.5)
+    # the constant field has no energy, so moser's energy check passes it
+    with pytest.raises(PreconditionError, match="does not vanish on the fixed boundary"):
+        moser_report(f)
 
 
 def test_sobolev_random_admissible_suite():

@@ -331,7 +331,7 @@ def test_gradient_norm_needs_p_at_least_1(half_disk_cone_128, p):
 
 def test_energy_factor_trace_violation(half_disk_domain):
     f = ScalarField.from_function(half_disk_domain, 1.0 / 64, lambda X, Y: np.ones_like(X))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not vanish on the fixed boundary"):
         check_rearrangement_energy_factor(f, 2.0)
 
 
