@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -362,12 +363,13 @@ class LabeledDomain:
     per hole: its label list, or ``None`` for an all-fixed hole.
 
     A domain is immutable: ``vertices`` and every array in ``holes`` are
-    read-only copies of the input.  So its edge table is built once, and the
-    report of :func:`is_concave_free_boundary` is computed on its first call
-    and kept on the domain for every later call.
+    read-only copies of the input.  So its edge table and its area are
+    computed once, in the constructor, and the report of
+    :func:`is_concave_free_boundary` is computed on its first call and kept
+    on the domain for every later call.
     """
 
-    __slots__ = ("vertices", "labels", "holes", "hole_labels", "_edges", "_concavity")
+    __slots__ = ("vertices", "labels", "holes", "hole_labels", "area", "_edges", "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
         pts, labels = _checked_loop(vertices, labels, "polygon")
@@ -399,6 +401,10 @@ class LabeledDomain:
         self.labels = labels
         self.holes = tuple(hole_list)
         self.hole_labels = tuple(hole_label_list)
+        area = _signed_area(pts)
+        for h in hole_list:
+            area -= _signed_area(h)
+        self.area = area
         self._concavity = None
         self._check_free_chain()
 
@@ -418,13 +424,6 @@ class LabeledDomain:
             )
 
     # -- basic measurements -----------------------------------------------------
-
-    @property
-    def area(self) -> float:
-        a = _signed_area(self.vertices)
-        for h in self.holes:
-            a -= _signed_area(h)
-        return a
 
     def _carrying(self, label: str | None):
         """Selects the edge-table rows of the edges carrying ``label`` (every
@@ -681,61 +680,82 @@ def isoperimetric_report(domain: LabeledDomain) -> IsoperimetricReport:
     )
 
 
-# -- area on one side of a line (Sutherland-Hodgman, used for bisection) -------
+# -- area on one side of a line, as one exact table per cut -------------------
 
-def _projected(loop: np.ndarray, line: CutLine) -> tuple[list, ...]:
-    """A loop as float lists for the clipping loop: x, y, the next vertex's
-    x and y, and the signed distances to ``line``."""
-    x, y = loop[:, 0].tolist(), loop[:, 1].tolist()
-    return x, y, x[1:] + x[:1], y[1:] + y[:1], line.signed_distance(loop).tolist()
+def _area_table(domain: LabeledDomain, line: CutLine) -> tuple[list, list, list]:
+    """The area of ``domain`` above the parallels of ``line`` as a function
+    of their offset s: the sorted distinct vertex projections ``s``, the area
+    ``A[j]`` above ``s[j]``, and its constant second derivative ``c[j]``
+    between ``s[j]`` and ``s[j + 1]``.
+
+    With eta the signed distance and xi the coordinate along the line, an
+    edge adds ``-(eta - s) dxi`` over its part above s (a hole's edges
+    subtract): nothing when it lies below s, a quadratic in s while s is in
+    its span, and a linear one when it lies above s.  The quadratic parts go
+    only to the breakpoints an edge spans, so an edge nearly parallel to the
+    line, with a huge ``dxi / deta``, touches no other bracket; the linear
+    parts go into suffix sums."""
+    nx, ny = line.normal.tolist()
+    edges = []
+    for sign, loop in zip((1.0,) + (-1.0,) * len(domain.holes), domain._loops()):
+        eta = line.signed_distance(loop).tolist()
+        xi = (sign * (loop[:, 0] * ny - loop[:, 1] * nx)).tolist()  # reversed on a hole
+        edges += zip(eta, eta[1:] + eta[:1], xi, xi[1:] + xi[:1])
+    s = sorted({e[0] for e in edges})
+    index = {v: j for j, v in enumerate(s)}
+    n = len(s)
+    A, c = [0.0] * n, [0.0] * (n - 1)
+    const, slope = [0.0] * n, [0.0] * n  # an edge's linear part, at its lower end
+    for eta0, eta1, xi0, xi1 in edges:
+        dxi = xi1 - xi0
+        bottom, top = (eta0, eta1) if eta0 <= eta1 else (eta1, eta0)
+        a, b = index[bottom], index[top]
+        const[a] -= 0.5 * (eta0 + eta1) * dxi
+        slope[a] += dxi
+        if a == b:
+            continue
+        k = -dxi / (top - bottom)
+        c[a] += k
+        for j in range(a + 1, b):
+            u = top - s[j]
+            A[j] += 0.5 * k * u * u
+            c[j] += k
+    above_const = above_slope = 0.0
+    for j in range(n - 1, -1, -1):
+        above_const += const[j]
+        above_slope += slope[j]
+        A[j] += above_const + s[j] * above_slope
+    return s, A, c
 
 
-def _clipped_area_above(projected: tuple[list, ...], offset: float) -> float:
-    """Area of the part of one projected loop whose signed distance is at
-    least ``offset``."""
-    x, y, x_next, y_next, proj = projected
-    d = [q - offset for q in proj]
-    out_x, out_y = [], []
-    for xi, yi, xj, yj, di, dj in zip(x, y, x_next, y_next, d, d[1:] + d[:1]):
-        if di >= 0.0:
-            out_x.append(xi)
-            out_y.append(yi)
-        if (di > 0.0) != (dj > 0.0) and di != dj:
-            t = di / (di - dj)
-            out_x.append(xi + t * (xj - xi))
-            out_y.append(yi + t * (yj - yi))
-    if len(out_x) < 3:
-        return 0.0
-    return _shoelace(out_x, out_y)
-
-
-def _loops_area_above(loops: Sequence[tuple[list, ...]], offset: float) -> float:
-    outer, *holes = loops
-    a = _clipped_area_above(outer, offset)
-    for h in holes:
-        a -= _clipped_area_above(h, offset)
-    return a
+def _area_above(table: tuple[list, list, list], offset: float) -> float:
+    """The area above ``offset`` read off an :func:`_area_table`: the
+    quadratic through the values at the ends of the offset's bracket, with
+    the bracket's second derivative."""
+    s, A, c = table
+    j = bisect_right(s, offset, 1, len(s) - 1) - 1
+    x, L = offset - s[j], s[j + 1] - s[j]
+    return A[j] + (A[j + 1] - A[j]) * x / L + 0.5 * c[j] * x * (x - L)
 
 
 def equal_volume_cut(domain: LabeledDomain, theta: float) -> CutLine:
     """Offset of the line at angle ``theta`` splitting the domain into two
     equal areas, found by bisection on the monotone area split function.
 
-    The vertex projections onto the returned line's normal (that of
-    ``theta`` mod pi) are computed once per cut; each bisection step clips
-    the projected loops at its offset and takes their areas on float lists,
-    with no numpy call.  The returned cut satisfies
-    |A_above - A_below| <= 1e-9 * area.
+    The area above every offset is read off one exact table per cut,
+    :func:`_area_table`, built on the vertex projections onto the returned
+    line's normal (that of ``theta`` mod pi); a bisection step looks up its
+    bracket and evaluates one quadratic, with no numpy call.  The returned
+    cut satisfies |A_above - A_below| <= 1e-9 * area.
     """
-    loops = [_projected(loop, CutLine(theta, 0.0)) for loop in domain._loops()]
-    proj = np.concatenate([p[-1] for p in loops])
-    lo, hi = float(proj.min()), float(proj.max())
+    table = _area_table(domain, CutLine(theta, 0.0))
+    lo, hi = table[0][0], table[0][-1]
     A = domain.area
     target = 0.5 * A
     # area above is A at offset lo and 0 at offset hi, decreasing in between
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = _loops_area_above(loops, mid) - target
+        fmid = _area_above(table, mid) - target
         if abs(fmid) <= 2.5e-10 * A:
             return CutLine(angle=theta, offset=mid)
         if fmid > 0.0:

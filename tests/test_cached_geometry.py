@@ -17,6 +17,7 @@ from freebdry.geometry import (
     FREE,
     LabeledDomain,
     _sampled_concavity,
+    _signed_area,
     is_concave_free_boundary,
     rasterize,
 )
@@ -148,6 +149,14 @@ def test_transformed_domain_gets_its_own_concavity_report():
     report = is_concave_free_boundary(moved)
     assert not report.concave
     assert report.witness != is_concave_free_boundary(dom).witness
+
+
+@pytest.mark.parametrize("dom", [dom for dom, _ in _cases()])
+def test_area_equals_direct_shoelace(dom):
+    direct = _signed_area(dom.vertices)
+    for hole in dom.holes:
+        direct -= _signed_area(hole)
+    assert dom.area == direct
 
 
 def test_domain_arrays_are_read_only():

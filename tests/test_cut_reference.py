@@ -1,15 +1,19 @@
-"""The float-list equal-area cut, the reflection split, the random-domain
-generator and polygon helpers against their references.
+"""The equal-area cut, the reflection split, the random-domain generator and
+polygon helpers against their references.
 
 The references below are the numpy-scalar versions that preceded the
 float-list loops: a Sutherland-Hodgman clip that projects the loop at every
-bisection step and an ``np.roll`` shoelace.  Each side-of-line test is
-written as the cut line's kernel computes it, ``x * n[0] + y * n[1] -
-offset``, elementwise.  The float-list code keeps every floating-point
-operation and its order, so the results must agree exactly (``==``): each
-symmetrize report depends on the offset's last bit.  The split reference
-stitches any number of kept components and chords; the two-crossing arc
-must give the same union, bit for bit, or the same error text.
+bisection step, the bisection on it, and an ``np.roll`` shoelace.  Each
+side-of-line test is written as the cut line's kernel computes it, ``x *
+n[0] + y * n[1] - offset``, elementwise.  The cut reads its areas off one
+exact table per cut instead of clipping, so an area agrees with the clip to
+1e-13 of the domain's area, not bit for bit; the bisection around it is the
+reference's, step for step, so the offsets must agree exactly (``==``):
+each symmetrize report depends on the offset's last bit.  The shoelace keeps
+every floating-point operation and its order, so its areas must agree
+exactly too.  The split reference stitches any number of kept components
+and chords; the two-crossing arc must give the same union, bit for bit, or
+the same error text.
 
 The generator reference is the one that preceded geometry's kernels: a
 pure-Python crossing search keyed by arc length, a convex inside test with
@@ -38,11 +42,11 @@ from freebdry.geometry import (
     GOLDEN_ANGLE,
     CutLine,
     LabeledDomain,
+    _area_above,
+    _area_table,
     _edge_lengths,
     _float_sum,
-    _loops_area_above,
     _points_in_polygon,
-    _projected,
     _reflected_half,
     _signed_area,
     equal_volume_cut,
@@ -189,18 +193,44 @@ def test_cut_matches_reference_on_half_disk():
     assert_cuts_match(dom, thetas)
 
 
-def test_area_above_matches_reference_at_every_offset():
+def test_cut_matches_reference_on_reflected_unions():
+    # from its second step on, symmetrize cuts mirrored unions: their
+    # vertices come in mirror pairs and their edges can be nearly parallel
+    # to the cut; each union is cut at its own axis and at the next angle
+    rng = np.random.default_rng(31)
+    unions = 0
+    for _ in range(50):
+        current = domains.random_concave_domain(rng)
+        for k in range(1, 6):
+            theta = (k * GOLDEN_ANGLE) % math.pi
+            try:
+                result = symmetrization_step(current, theta)
+            except DegenerateCutError:
+                continue
+            if result.case == "reflected":
+                current = result.domain
+                unions += 1
+                assert_cuts_match(current, [theta, ((k + 1) * GOLDEN_ANGLE) % math.pi])
+    assert unions >= 100
+
+
+def test_area_table_matches_reference_at_and_between_breakpoints():
+    # exact in exact arithmetic, so in floats within 1e-13 of the area of
+    # the clip; the square and the L-shape at 0 and pi/2 have edges parallel
+    # to the cut, the annulus has a hole
     rng = np.random.default_rng(11)
-    for dom in (domains.l_shape(), domains.builtin_domain("annulus"),
-                domains.random_concave_domain(rng)):
-        for theta in (0.0, 0.7, math.pi / 2.0):
-            normal = np.array([-math.sin(theta), math.cos(theta)])
-            proj = np.concatenate([side_of_line(loop, normal, 0.0) for loop in (dom.vertices, *dom.holes)])
-            # vertex projections themselves put vertices exactly on the line
-            offsets = np.concatenate([np.linspace(proj.min() - 0.1, proj.max() + 0.1, 41), proj])
-            loops = [_projected(loop, CutLine(theta, 0.0)) for loop in dom._loops()]
-            for off in offsets.tolist():
-                assert _loops_area_above(loops, off) == reference_area_above(dom, normal, off)
+    for dom in (domains.unit_square(), domains.l_shape(), domains.builtin_domain("annulus"),
+                domains.half_disk(), domains.random_concave_domain(rng)):
+        for theta in (0.0, 0.7, math.pi / 4.0, math.pi / 2.0):
+            line = CutLine(theta, 0.0)
+            table = _area_table(dom, line)
+            breaks = table[0]
+            proj = np.concatenate([side_of_line(loop, line.normal, 0.0) for loop in dom._loops()])
+            assert breaks == sorted(set(proj.tolist()))
+            between = [a + f * (b - a) for a, b in zip(breaks, breaks[1:]) for f in (0.1, 0.5, 0.9)]
+            for off in breaks + between:
+                ref = reference_area_above(dom, line.normal, off)
+                assert abs(_area_above(table, off) - ref) <= 1e-13 * dom.area
 
 
 # -- reflection split ------------------------------------------------------------

@@ -11,9 +11,7 @@ from freebdry.geometry import (
     CutLine,
     LabeledDomain,
     _check_crossings,
-    _loops_area_above,
     _next,
-    _projected,
     equal_volume_cut,
     is_concave_free_boundary,
     isoperimetric_report,
@@ -21,6 +19,7 @@ from freebdry.geometry import (
     symmetrize_iterate,
 )
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
+from tests.test_cut_reference import reference_area_above
 
 
 # -- construction and validation -----------------------------------------
@@ -331,9 +330,10 @@ def test_reflect_preserves_label_lengths_randomized():
 
 def areas_above(dom, angle, offsets):
     """Area of the domain above each line of direction ``angle`` and the
-    given offset, by the clipping of the equal-area bisection."""
-    loops = [_projected(loop, CutLine(angle, 0.0)) for loop in dom._loops()]
-    return np.array([_loops_area_above(loops, o) for o in offsets])
+    given offset, by the numpy reference clip, not by the cut's own area
+    table."""
+    normal = CutLine(angle, 0.0).normal
+    return np.array([reference_area_above(dom, normal, o) for o in offsets])
 
 
 def test_equal_cut_square_vertical(square_domain):
