@@ -710,3 +710,20 @@ def test_points_in_polygon_matches_per_edge_loop():
             mid = 0.5 * (poly + np.roll(poly, -1, axis=0))
             pts[2 * k:3 * k] = mid[:len(pts[2 * k:3 * k])]
             assert np.array_equal(_points_in_polygon(pts, poly), reference_points_in_polygon(pts, poly))
+    # the concavity check's probe sets: the chords' quarter points and
+    # midpoints, many on the free chain and many sharing an ordinate
+    for dom in [domains.half_disk(), domains.square_annulus(free_inner=True),
+                *(domains.random_concave_domain(rng) for _ in range(6))]:
+        chain = dom.free_chain_points(64)
+        ii, jj = np.triu_indices(len(chain), k=1)
+        a, b = chain[ii], chain[jj]
+        probes = np.concatenate([a + f * (b - a) for f in (0.25, 0.5, 0.75)])
+        for poly in (dom.vertices, *dom.holes):
+            assert np.array_equal(_points_in_polygon(probes, poly),
+                                  reference_points_in_polygon(probes, poly))
+    # a NaN ordinate sorts last and lies in no edge's band
+    pts = np.array([[0.5, np.nan], [0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [0.5, -np.inf]])
+    poly = domains.unit_square().vertices
+    assert _points_in_polygon(pts, poly).tolist() == [False, True, False, False, False]
+    with np.errstate(invalid="ignore"):  # the reference's inf * 0
+        assert np.array_equal(_points_in_polygon(pts, poly), reference_points_in_polygon(pts, poly))

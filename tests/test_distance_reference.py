@@ -1,17 +1,22 @@
-"""The blocked point-edge distance kernel against a per-edge loop.
+"""The nearest-edge kernel against a per-edge loop.
 
 Every boundary distance (tapers, inradius, clearances) and every face label
-comes from ``geometry._segment_distances``, which measures blocks of
-(points x edges) at once.  The reference below is the per-edge form it
-replaced, written with the same elementwise arithmetic: each distance and
-each label must match it bit for bit (``np.array_equal``), and a point's
-distances must not depend on which other points share its block.
+comes from ``geometry._nearest_segment``, which measures blocks of
+(points x edges) at once and returns each point's nearest distance and the
+first edge that attains it.  It takes ``hypot`` only on the pairs whose
+squared distance is near the row's smallest.  The reference below is the
+per-edge form of the full distance matrix, written with the same elementwise
+arithmetic: the kernel's distances and indices must equal its row minima and
+argmins bit for bit (``np.array_equal``), at any scale and on exact zeros and
+ties, and a point's result must not depend on which other points share its
+block.
 """
 
 import numpy as np
 import pytest
 
-from freebdry import domains
+from freebdry import domains, geometry
+from freebdry.cli import build_parser, main
 from freebdry.geometry import (
     _DIRS,
     _EDGE_PAIR_BLOCK,
@@ -20,7 +25,7 @@ from freebdry.geometry import (
     FIXED,
     FREE,
     LabeledDomain,
-    _segment_distances,
+    _nearest_segment,
     _shifted,
     rasterize,
 )
@@ -41,8 +46,14 @@ def per_edge_distances(points, starts, ends):
     return out
 
 
-def kernel(points, starts, ends):
-    return np.vstack(list(_segment_distances(points, starts, ends)))
+def assert_nearest_matches(points, starts, ends):
+    """The kernel's (dist, index) equal the reference matrix's row minimum
+    and first argmin; returns the reference matrix."""
+    ref = per_edge_distances(points, starts, ends)
+    dist, index = _nearest_segment(points, starts, ends)
+    assert np.array_equal(dist, ref.min(axis=1))
+    assert np.array_equal(index, ref.argmin(axis=1))
+    return ref
 
 
 def edge_table(dom):
@@ -97,13 +108,60 @@ def test_distances_match_the_per_edge_loop(name):
     pts = rng.uniform((x0 - 0.2, y0 - 0.2), (x1 + 0.2, y1 + 0.2), size=(10007, 2))
     rows = _EDGE_PAIR_BLOCK // len(starts)
     assert len(pts) % rows and len(pts) > rows
-    ref = per_edge_distances(pts, starts, ends)
-    assert np.array_equal(kernel(pts, starts, ends), ref)
+    ref = assert_nearest_matches(pts, starts, ends)
     assert np.array_equal(dom.boundary_distance(pts), ref.min(axis=1))
     for label in (FIXED, FREE):
         cols = [k for k, lab in enumerate(labels) if lab == label]
         want = ref[:, cols].min(axis=1) if cols else np.full(len(pts), np.inf)
         assert np.array_equal(dom.distance_to_label(pts, label), want)
+        if cols:
+            assert_nearest_matches(pts, starts[cols], ends[cols])
+
+
+def on_boundary(starts, ends):
+    """Points on the vertices, and on each edge at fractions of its length:
+    exact zero distances, and ties between the two edges at a vertex."""
+    ab = ends - starts
+    on_edges = [starts + f * ab for f in (0.5, 0.25, 1 / 3, 0.9)]
+    return np.concatenate([starts, ends, *on_edges])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("name", DOMAINS)
+def test_scaled_and_shifted_domains_and_points_on_the_boundary(name, scale, far):
+    # the screen on squared distances must keep the exact minimum where the
+    # squares underflow (1e-150), where they approach overflow (1e150) and
+    # where the offsets lose the low bits of coordinates far from the origin
+    starts, ends, _ = edge_table(DOMAINS[name])
+    shift = np.array([3.0e6, -5.0e6]) if far else np.zeros(2)
+    starts, ends = (starts + shift) * scale, (ends + shift) * scale
+    lo, hi = np.minimum(starts, ends).min(axis=0), np.maximum(starts, ends).max(axis=0)
+    rng = np.random.default_rng(17)
+    pts = np.concatenate([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), size=(997, 2)),
+                          on_boundary(starts, ends)])
+    assert_nearest_matches(pts, starts, ends)
+    for sub in (rng.random(len(starts)) < 0.5, slice(None, 1), slice(None, None, 3)):
+        assert_nearest_matches(pts, starts[sub], ends[sub])
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150])
+def test_centre_of_a_regular_polygon_ties_every_edge(scale):
+    # every edge of a regular 96-gon, and every vertex of it, is at one
+    # distance from its centre in exact arithmetic: the rounded distances
+    # tie or differ by an ulp, and their squares need not order them alike,
+    # so the first index reaching the smallest distance must survive the
+    # screen on squares; at 1e-160 the squares are subnormal, with far
+    # fewer significant bits than the distances
+    phi = 2 * np.pi * np.arange(96) / 96
+    ring = np.column_stack([np.cos(phi), np.sin(phi)]) * scale
+    centre = np.array([[0.0, 0.0], [1e-17, -3e-17]]) * scale
+    dist, index = _nearest_segment(centre, ring, ring)  # zero-length: the vertices
+    assert_nearest_matches(centre, ring, ring)
+    assert_nearest_matches(centre, ring, np.roll(ring, -1, axis=0))
+    assert_nearest_matches(centre, ring[::-1], ring[::-1])
+    ref = per_edge_distances(centre, ring, ring)
+    assert (ref == dist[:, None]).sum() > 1  # a tie, which the first edge wins
 
 
 @pytest.mark.parametrize("name", DOMAINS)
@@ -134,9 +192,11 @@ def test_earlier_edge_wins_a_tie():
     # the same rule on the kernel's rows: equal columns, first index
     starts = np.array([[0.0, 0.0], [split, 0.0]])
     ends = np.array([[split, 0.0], [1.0, 0.0]])
-    d = kernel(np.array([[split, 0.0], [split, 0.25]]), starts, ends)
+    pts = np.array([[split, 0.0], [split, 0.25]])
+    d = assert_nearest_matches(pts, starts, ends)
     assert d[0, 0] == d[0, 1] == 0.0 and d[1, 0] == d[1, 1] == 0.25
-    assert d.argmin(axis=1).tolist() == [0, 0]
+    dist, index = _nearest_segment(pts, starts, ends)
+    assert dist.tolist() == [0.0, 0.25] and index.tolist() == [0, 0]
 
 
 def test_more_edges_than_one_block():
@@ -144,10 +204,8 @@ def test_more_edges_than_one_block():
     m = _EDGE_PAIR_BLOCK + 1001
     starts = rng.normal(size=(m, 2))
     ends = starts + rng.normal(scale=0.1, size=(m, 2))
-    pts = rng.normal(size=(7, 2))
-    blocks = list(_segment_distances(pts, starts, ends))
-    assert [len(b) for b in blocks] == [1] * 7
-    assert np.array_equal(np.vstack(blocks), per_edge_distances(pts, starts, ends))
+    pts = rng.normal(size=(7, 2))  # one row per block
+    assert_nearest_matches(pts, starts, ends)
 
 
 def test_zero_length_segment_measures_to_its_endpoint():
@@ -155,17 +213,22 @@ def test_zero_length_segment_measures_to_its_endpoint():
     pts = rng.normal(size=(50, 2))
     starts = np.array([[0.3, -0.7], [0.0, 0.0], [0.3, -0.7]])
     ends = np.array([[0.3, -0.7], [1.0, 0.0], [0.3, -0.7]])
-    d = kernel(pts, starts, ends)
     endpoint = np.hypot(pts[:, 0] - 0.3, pts[:, 1] + 0.7)
+    d = assert_nearest_matches(pts, starts, ends)
     assert np.array_equal(d[:, 0], endpoint) and np.array_equal(d[:, 2], endpoint)
-    assert np.array_equal(d, per_edge_distances(pts, starts, ends))
+    dist, index = _nearest_segment(pts, starts[::2], ends[::2])
+    assert np.array_equal(dist, endpoint) and not index.any()  # the earlier of two equal
 
 
 def test_no_points_and_no_matching_edge():
     dom = DOMAINS["halfdisk"]
     starts, ends, _ = edge_table(dom)
-    assert kernel(np.empty((0, 2)), starts, ends).shape == (0, len(starts))
+    dist, index = _nearest_segment(np.empty((0, 2)), starts, ends)
+    assert dist.shape == index.shape == (0,)
     assert dom.boundary_distance(np.empty((0, 2))).shape == (0,)
+    # no segment: the distance is inf and the index 0
+    dist, index = _nearest_segment(np.ones((3, 2)), starts[:0], ends[:0])
+    assert np.isposinf(dist).all() and not index.any()
     # no free edge: the distance to the free chain is inf
     pts = np.array([[0.5, 0.5], [2.0, 2.0]])
     assert np.array_equal(domains.unit_square().distance_to_label(pts, FREE),
@@ -179,9 +242,43 @@ def test_a_row_does_not_depend_on_its_block(name):
     X, Y = grid.cell_centers()
     pts = np.column_stack([X.ravel(), Y.ravel()])
     starts, ends, _ = edge_table(dom)
-    full = kernel(pts, starts, ends)
+    dist, index = _nearest_segment(pts, starts, ends)
     inside = grid.mask.ravel()
-    assert np.array_equal(kernel(pts[inside], starts, ends), full[inside])
-    for shift in (1, 2, 3, 57):
-        assert np.array_equal(kernel(pts[shift:], starts, ends), full[shift:])
-    assert np.array_equal(dom.boundary_distance(pts[inside]), full[inside].min(axis=1))
+    for rows in (inside, slice(1, None), slice(2, None), slice(3, None), slice(57, None)):
+        sub_dist, sub_index = _nearest_segment(pts[rows], starts, ends)
+        assert np.array_equal(sub_dist, dist[rows]) and np.array_equal(sub_index, index[rows])
+    assert np.array_equal(dom.boundary_distance(pts[inside]), dist[inside])
+
+
+def test_non_finite_and_overflowing_points_measure_every_edge():
+    # a NaN offset makes the row's smallest square NaN and squares that all
+    # overflow make it inf; no pair then compares greater than the cut, so
+    # every pair is measured, as with no screen at all
+    starts, ends, _ = edge_table(DOMAINS["halfdisk"])
+    pts = np.array([[np.nan, 0.0], [np.inf, 1.0], [0.5, np.inf], [-np.inf, -np.inf],
+                    [1e300, 1e300], [-3e200, 1e155], [0.25, 0.5]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = per_edge_distances(pts, starts, ends)
+        dist, index = _nearest_segment(pts, starts, ends)
+    assert np.array_equal(dist, ref.min(axis=1), equal_nan=True)
+    assert np.array_equal(index, ref.argmin(axis=1))
+    assert np.isnan(dist[0]) and np.isfinite(dist[4:]).all()
+
+
+def test_sobolev_measures_each_inside_cell_against_each_edge_once(monkeypatch, tmp_path):
+    # the grid's distances are its fixed-edge distance field and its
+    # inradius; the inradius reuses the field and measures only the free
+    # edges, so the inside cells make one pass over the edges in all
+    pairs = []
+
+    def counting(points, starts, ends):
+        pairs.append((len(points), len(starts)))
+        return _nearest_segment(points, starts, ends)
+
+    monkeypatch.setattr(geometry, "_nearest_segment", counting)
+    argv = ["sobolev", "--domain", "halfdisk", "--seed", "1"]
+    assert main(argv + ["--quiet", "--out", str(tmp_path / "report.json")]) == 0
+    dom = domains.half_disk()
+    inside = int(rasterize(dom, build_parser().parse_args(argv).h).mask.sum())
+    grid_pairs = sum(n * m for n, m in pairs if n == inside)
+    assert 0 < grid_pairs <= inside * len(dom.labels)
