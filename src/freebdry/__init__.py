@@ -41,7 +41,6 @@ from .rearrange import (
     DecreasingProfile,
     LevelStats,
     ScalarField,
-    check_flux_lower_bound,
     check_profile_energy_bound,
     check_rearrangement_energy_factor,
     check_slope_coarea_identity,

@@ -7,12 +7,10 @@ CSV, and exits with a machine-readable status:
     0  all asserted inequalities hold within the fixed slack (constants below, not flags)
     2  input parsing failed, or ``--h``, ``--n``/``--p``, ``--random`` or ``--steps`` is out of range
     3  a precondition was violated: the free chain of the domain of ``isoperim``,
-       ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave, a field does
-       not vanish on the fixed boundary, or ``--epsilon``/``--p`` is NaN/inf
+       ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave, the domain of
+       ``symmetrize`` has holes, a field is not zero on the fixed boundary, or
+       ``--epsilon``/``--p`` is NaN/inf
     4  an asserted inequality failed
-
-Plot-ready CSV series (one file per ladder) land in the directory given by
-``--plot-data`` or the FREEBDRY_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -93,12 +90,12 @@ def _csv_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _emit(args, payload: dict, table: tuple[list[str], list[dict]] | None = None) -> int:
+def _emit(args, payload: dict, table: tuple[list[str], list[dict]]) -> int:
     """Write the report as JSON, or as CSV of its primary table when the
     campaign asked for csv format; column order is fixed per subcommand.
     Returns the exit status: ``EXIT_INEQUALITY`` when the report lists
     failures, else ``EXIT_OK``."""
-    if getattr(args, "format", "json") == "csv" and table is not None:
+    if args.format == "csv":
         cols, rows = table
         lines = [",".join(cols)]
         lines += [",".join(_csv_cell(row.get(c)) for c in cols) for row in rows]
@@ -110,20 +107,6 @@ def _emit(args, payload: dict, table: tuple[list[str], list[dict]] | None = None
     if not args.quiet:
         print(text, end="")
     return EXIT_INEQUALITY if payload.get("failures") else EXIT_OK
-
-
-def _write_series(args, name: str, header: list[str], rows) -> None:
-    """Write a plot-ready CSV series into the ``--plot-data`` directory, or
-    else the FREEBDRY_OUTDIR one; without either, write nothing."""
-    directory = getattr(args, "plot_data", None) or os.environ.get("FREEBDRY_OUTDIR")
-    if not directory:
-        return
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / f"{name}.csv", "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +140,6 @@ def cmd_isoperim(args) -> int:
 def cmd_symmetrize(args) -> int:
     dom = _load_domain(args.domain)
     final, trace = symmetrize_iterate(dom, steps=args.steps)
-    _write_series(args, "symmetrize_trace", ["step", "ratio", "area"],
-                  [(t["step"], t["ratio"], t["area"]) for t in trace])
     ratios = [t["ratio"] for t in trace] + [isoperimetric_report(final).ratio]
     increases = [b - a for a, b in zip(ratios, ratios[1:]) if b - a > SYMMETRIZE_RISE]
     payload = {
@@ -227,8 +208,6 @@ def cmd_sobolev(args) -> int:
         randoms.append({"index": k, "quotient": rep.quotient, "margin": rep.margin})
         if rep.quotient < rep.bound * (1.0 - GRID_SLACK):
             failures.append({"index": k, "quotient": rep.quotient, "bound": rep.bound})
-    _write_series(args, "bubble_ladder", ["epsilon", "quotient", "bound"],
-                  [(r["epsilon"], r["quotient"], base) for r in ladder])
     payload = {
         "command": "sobolev",
         "p": args.p,
@@ -277,8 +256,6 @@ def cmd_counterexample(args) -> int:
     for a, d, f in rows:
         if not 0.0 < d < 1.0:
             failures.append({"a": a, "reason": f"energy deficit {d} outside (0,1)"})
-    _write_series(args, "counterexample_sweep",
-                  ["a", "energy_deficit", "functional_lower_bound"], rows)
     payload = {
         "command": "counterexample",
         "tau0": args.tau0,
@@ -303,8 +280,6 @@ def cmd_eig(args) -> int:
         "report": report.to_json_dict(),
         "failures": [] if ok else [{"margin": report.margin}],
     }
-    _write_series(args, "eigenvalue", ["h", "lambda", "reference"],
-                  [(report.h, report.lam, report.reference)])
     cols = ["h", "lambda", "reference", "margin", "iterations", "concavity_vacuous"]
     return _emit(args, payload, table=(cols, [report.to_json_dict()]))
 
@@ -357,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("symmetrize", help="golden-angle reflection iteration")
     p.add_argument("--domain", default="trapezoid")
     p.add_argument("--steps", type=_at_least(1), default=50)
-    p.add_argument("--plot-data", help="directory for CSV series")
     p.set_defaults(func=cmd_symmetrize)
 
     p = add_parser("rearrange", help="rearrangement integral inequalities")
@@ -375,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=_at_least(0), default=3,
                    help="random fields after the bubble ladder")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--plot-data", help="directory for CSV series")
     p.set_defaults(func=cmd_sobolev)
 
     p = add_parser("moser", help="exponential functional identity checks")
@@ -388,13 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("counterexample", help="closed-form blow-up sweep")
     p.add_argument("--a", type=float, action="append", default=None)
     p.add_argument("--tau0", type=float, default=0.01)
-    p.add_argument("--plot-data", help="directory for CSV series")
     p.set_defaults(func=cmd_counterexample)
 
     p = add_parser("eig", help="principal frequency vs half-ball reference")
     p.add_argument("--domain", default="halfdisk")
     p.add_argument("--h", type=float, default=1.0 / 64)
-    p.add_argument("--plot-data", help="directory for CSV series")
     p.set_defaults(func=cmd_eig)
 
     return parser

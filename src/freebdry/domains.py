@@ -64,18 +64,14 @@ def right_trapezoid() -> LabeledDomain:
     return LabeledDomain(pts, [FREE, FIXED, FIXED, FIXED])
 
 
-def square_annulus(outer: float = 2.0, inner: float = 1.0,
-                   free_inner: bool = False) -> LabeledDomain:
-    """Region between two concentric axis-aligned squares.
+def square_annulus(free_inner: bool = False) -> LabeledDomain:
+    """Region between the concentric axis-aligned squares of sides 2 and 1.
 
     The inner square is a hole; with ``free_inner`` its boundary is the free
     chain (a closed chain), which is concave with respect to the region.
     """
-    if inner >= outer:
-        raise DomainValidationError("inner square must be smaller than outer")
-    o, i = outer / 2.0, inner / 2.0
-    outer_pts = [(-o, -o), (o, -o), (o, o), (-o, o)]
-    inner_pts = [(-i, -i), (i, -i), (i, i), (-i, i)]
+    outer_pts = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    inner_pts = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
     hole_labels = [[FREE] * 4] if free_inner else None
     return LabeledDomain(outer_pts, [FIXED] * 4, holes=[inner_pts],
                          hole_labels=hole_labels)

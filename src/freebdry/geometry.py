@@ -10,8 +10,8 @@ On top of that representation this module provides the geometric operations
 the verification campaigns need: areas and labeled boundary lengths,
 concavity checking of the free chain (every chord between two free-boundary
 points must avoid the interior), isoperimetric reports against the sharp
-free-boundary constant, reflections, equal-area line cuts, one reflection
-symmetrization step, and rasterization onto a uniform cell-centered grid.
+free-boundary constant, equal-area line cuts, one reflection symmetrization
+step, and rasterization onto a uniform cell-centered grid.
 
 All operations are pure; domains are immutable after construction.
 """
@@ -612,9 +612,6 @@ class ConcavityReport:
     vacuous: bool = False
     witness: tuple | None = None  # (endpoint_a, endpoint_b, interior_point)
 
-    def __bool__(self) -> bool:
-        return self.concave
-
 
 @dataclass(frozen=True)
 class IsoperimetricReport:
@@ -675,7 +672,7 @@ def require_admissible(domain: LabeledDomain, field=None) -> ConcavityReport:
         raise PreconditionError("free chain is not concave with respect to the domain")
     if field is not None:
         grid = field.grid
-        vals = field.values[(grid.face_labels == FACE_FIXED).any(axis=2) & grid.mask]
+        vals = field.values[grid.fixed_cells]
         if vals.size:
             gmax = float(field.grad_magnitude[grid.mask].max())
             allowance = max(1e-10 * field.max_value, 2.0 * grid.h * gmax)
@@ -915,12 +912,13 @@ def symmetrization_step(domain: LabeledDomain, theta: float) -> SymmetrizationRe
     cut misses the free chain the input is returned unchanged with
     ``case="case-2"``.
 
-    Domains with holes, cuts that cannot be moved off the vertex set, and
-    cuts whose kept half is more than one arc (several components or
-    chords) raise :class:`DegenerateCutError`.
+    A domain with holes lies outside the step's class and raises
+    :class:`PreconditionError`.  Cuts that cannot be moved off the vertex
+    set, and cuts whose kept half is more than one arc (several components
+    or chords), raise :class:`DegenerateCutError`.
     """
     if domain.holes:
-        raise DegenerateCutError("reflection step does not support holes")
+        raise PreconditionError("reflection step does not support holes")
     ratio_before = isoperimetric_report(domain).ratio
     cut = equal_volume_cut(domain, theta)
     d = cut.signed_distance(domain.vertices)
@@ -953,7 +951,8 @@ def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledD
 
     Cut angles k * GOLDEN_ANGLE (mod pi) realize an equidistributed angle
     sequence.  Steps with degenerate cut geometry are skipped but recorded;
-    the run stops early once an executed step improves the ratio by less
+    a domain with holes raises :class:`PreconditionError` at the first step.
+    The run stops early once an executed step improves the ratio by less
     than 1e-6.  Returns the final domain and a per-step trace carrying the
     ratio, the area, and the width of the domain's x-projection.
     """
@@ -1022,7 +1021,8 @@ class RasterGrid:
 
     A grid is immutable: its fields cannot be reassigned and ``mask`` and
     ``face_labels`` are read-only.  So the quantities that depend on the
-    grid alone are computed on first use and kept on it: the distance from
+    grid alone are computed on first use and kept on it: the inside cells
+    with a fixed face (``fixed_cells``), the distance from
     every inside cell center to the fixed edges (``fixed_distance``), the largest
     distance from an inside cell center to the boundary (``inradius``, which
     reads ``fixed_distance`` and measures the free edges only, so the inside
@@ -1056,6 +1056,13 @@ class RasterGrid:
 
     def area(self) -> float:
         return float(self.mask.sum()) * self.cell_area
+
+    @cached_property
+    def fixed_cells(self) -> np.ndarray:
+        """Mask of the inside cells with at least one fixed face (read-only)."""
+        out = (self.face_labels == FACE_FIXED).any(axis=2) & self.mask
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def fixed_distance(self) -> np.ndarray:

@@ -198,44 +198,35 @@ class CounterexampleSpec:
     """Parameters of the concentration construction on the parabola domain.
 
     ``a`` is the parabola's curvature parameter (> 1); ``tau0`` the aperture
-    constant (at most 1/100); the concentration scale lambda is stored
-    through ``log_inv_lambda`` = ln(1/lambda), which must exceed a^2 -- for
-    large ``a`` the scale itself underflows double precision, so only its
-    logarithm is representable.
+    constant (at most 1/100).
     """
 
     a: float
     tau0: float = 0.01
-    log_inv_lambda: float | None = None
 
     def __post_init__(self):
         if not self.a > 1.0:
             raise PreconditionError("curvature parameter must exceed 1")
         if not 0.0 < self.tau0 <= 0.01:
             raise PreconditionError("aperture constant must lie in (0, 1/100]")
-        if self.log_inv_lambda is None:
-            object.__setattr__(self, "log_inv_lambda", 2.0 * self.a**2)
-        if not self.log_inv_lambda > self.a**2:
-            raise PreconditionError(
-                "concentration scale must satisfy ln(1/lambda) > a^2"
-            )
 
     @property
-    def lam(self) -> float:
-        """The concentration scale itself; 0.0 when it underflows."""
-        return math.exp(-self.log_inv_lambda) if self.log_inv_lambda < 745 else 0.0
+    def log_inv_lambda(self) -> float:
+        """ln(1/lambda) = 2 a^2 of the concentration scale lambda, which
+        exceeds a^2 as the construction needs; for large ``a`` lambda itself
+        underflows double precision, so only its logarithm is kept."""
+        return 2.0 * self.a**2
 
 
-def counterexample_domain(spec: CounterexampleSpec, segments: int = 64,
-                          target_area: float = 1.5) -> LabeledDomain:
+def counterexample_domain(spec: CounterexampleSpec) -> LabeledDomain:
     """Parabola domain whose free chain violates concavity.
 
-    The free chain samples y = a x^2 between (-a^{-1/3}, a^{1/3}) and
-    (a^{-1/3}, a^{1/3}); the fixed boundary is a rectangular cap above the
-    chord, its height solved so the total polygon area equals
-    ``target_area`` exactly.  The region below the chord alone has area 4/3,
-    so target areas at or below that are rejected.
+    The free chain samples y = a x^2 at 65 points between (-a^{-1/3},
+    a^{1/3}) and (a^{-1/3}, a^{1/3}); the fixed boundary is a rectangular cap
+    above the chord, of the positive height that makes the total polygon
+    area 1.5 (the region below the chord alone has area just under 4/3).
     """
+    segments = 64
     a = spec.a
     w = a ** (-1.0 / 3.0)
     top = a ** (1.0 / 3.0)
@@ -246,13 +237,7 @@ def counterexample_domain(spec: CounterexampleSpec, segments: int = 64,
     # polyline closes along the chord by itself; its shoelace area is the
     # sampled region below the chord (slightly under the analytic 4/3)
     base_area = abs(_signed_area(parab))
-
-    if target_area <= base_area + 1e-12:
-        raise PreconditionError(
-            f"target area {target_area} is unattainable: the region below the "
-            f"chord already has area {base_area:.9f} (analytically >= 4/3)"
-        )
-    cap_height = (target_area - base_area) / (2.0 * w)
+    cap_height = (1.5 - base_area) / (2.0 * w)
     verts = np.vstack([
         parab,
         [w, top + cap_height],

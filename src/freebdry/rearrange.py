@@ -4,13 +4,13 @@ The pipeline: a nonnegative :class:`ScalarField` sampled at the cell centers
 of a rasterized domain is sorted into its one-dimensional decreasing profile
 (:class:`DecreasingProfile`, the generalized inverse of the super-level-set
 measure), then pushed onto the equal-area disk as a radially nonincreasing
-:class:`ScalarField`.  Level-set statistics -- contour length, the coarea
-integral of 1/|grad|, and the |grad|^{p-1} flux -- are extracted by marching
-squares.  Each check hands its whole level list to one batched pass per
-field, which contours the levels a fixed-size chunk at a time, samples the
-gradient at the chunk's segment midpoints in one call, and keeps each
-level's segment lengths and midpoint gradients in a per-level contour cache
-on the field; ``level_stats`` reads one level from that cache.
+:class:`ScalarField`.  Level-set statistics -- contour length and the coarea
+integral of 1/|grad| -- are extracted by marching squares.  Each check hands
+its whole level list to one batched pass per field, which contours the
+levels a fixed-size chunk at a time, samples the gradient at the chunk's
+segment midpoints in one call, and keeps each level's segment lengths and
+midpoint gradients in a per-level contour cache on the field;
+``level_stats`` reads one level from that cache.
 
 A field's values are read-only, so the work that does not depend on the
 exponent p is done once per field and kept on it: the sorted values, which
@@ -24,7 +24,6 @@ these to their powers.
 The statistics feed the verification routines:
 
 * ``check_slope_coarea_identity``  -- profile slope vs. 1/(coarea integral),
-* ``check_flux_lower_bound``       -- variational lower bound for the flux,
 * ``check_profile_energy_bound``   -- profile Dirichlet energy vs. field energy,
 * ``check_rearrangement_energy_factor`` -- the factor-2^{p/2} gradient bound
   for admissible fields on concave-free-boundary domains.
@@ -66,7 +65,6 @@ __all__ = [
     "level_stats",
     "quantile_levels",
     "check_slope_coarea_identity",
-    "check_flux_lower_bound",
     "check_profile_energy_bound",
     "check_rearrangement_energy_factor",
     "gradient_lp_norm",
@@ -150,9 +148,6 @@ class ScalarField:
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
         return ScalarField(self.grid, self.values * c)
-
-    def integral(self) -> float:
-        return float(self.values_inside().sum()) * self.grid.cell_area
 
     # -- gradient -------------------------------------------------------------
 
@@ -445,20 +440,17 @@ class LevelStats:
 
     ``surface``         -- total contour length S at the level,
     ``coarea_integral`` -- sum over the contour of ds / |grad u|,
-    ``flux_p``          -- sum over the contour of |grad u|^{p-1} ds,
     ``reliable``        -- False when |grad u| nearly vanishes somewhere on
                            the contour (near-critical level).
     """
 
     level: float
-    p: float
     surface: float
     coarea_integral: float
-    flux_p: float
     reliable: bool
 
 
-def level_stats(field: ScalarField, t: float, p: float = 2.0) -> LevelStats:
+def level_stats(field: ScalarField, t: float) -> LevelStats:
     """Statistics of the level-t contour, read from the field's contour
     cache (contouring the level first if the cache lacks it).
 
@@ -474,13 +466,11 @@ def level_stats(field: ScalarField, t: float, p: float = 2.0) -> LevelStats:
         _fill_contours(field, [t])
     lengths, gmag = field._contours[float(t)]
     if len(lengths) == 0:
-        return LevelStats(t, p, 0.0, 0.0, 0.0, False)
+        return LevelStats(t, 0.0, 0.0, False)
     reliable = bool((gmag > 1e-8).all())
-    gsafe = np.clip(gmag, 1e-8, None)
     surface = float(lengths.sum())
-    coarea = float((lengths / gsafe).sum())
-    flux = float((lengths * gsafe ** (p - 1.0)).sum())
-    return LevelStats(t, p, surface, coarea, flux, reliable)
+    coarea = float((lengths / np.clip(gmag, 1e-8, None)).sum())
+    return LevelStats(t, surface, coarea, reliable)
 
 
 def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -579,23 +569,6 @@ def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
     if not devs:
         raise PreconditionError("no usable level for the slope/coarea identity")
     return SlopeCoareaReport(max(devs), len(devs))
-
-
-def check_flux_lower_bound(field: ScalarField, t: float, p: float) -> tuple[float, float]:
-    """Both sides of the per-level variational bound
-
-        (coarea integral)^{1-p}  <=  flux_p / S^p ,
-
-    with equality when |grad u| is constant on the contour.
-    """
-    if not 1.0 < p < math.inf:
-        raise PreconditionError("the flux bound needs a finite p > 1")
-    ls = level_stats(field, t, p)
-    if ls.surface <= 0.0:
-        raise PreconditionError(f"level {t} has an empty contour")
-    lhs = ls.coarea_integral ** (1.0 - p)
-    rhs = ls.flux_p / ls.surface ** p
-    return lhs, rhs
 
 
 def check_profile_energy_bound(field: ScalarField, p: float,

@@ -40,12 +40,14 @@ from .geometry import (
     rasterize,
     require_admissible,
 )
-from .rearrange import ScalarField
 
 if TYPE_CHECKING:
     from scipy import sparse
 
-DEFAULT_SEED = 0x5EED
+# inverse iteration: stopping tolerance, iteration budget, start-vector seed
+_TOL = 1e-8
+_MAX_ITER = 500
+_SEED = 0x5EED
 
 __all__ = [
     "SpectralProblem",
@@ -55,7 +57,6 @@ __all__ = [
     "first_bessel_zero",
     "half_ball_reference",
     "check_frequency_vs_half_ball",
-    "eigen_scalar_field",
 ]
 
 
@@ -65,7 +66,6 @@ class SpectralProblem:
 
     matrix: sparse.csr_matrix
     grid: RasterGrid
-    cells: np.ndarray      # (K, 2) row/col of each cell
 
     @property
     def size(self) -> int:
@@ -81,7 +81,6 @@ def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
     index = -np.ones(grid.shape, dtype=np.int64)
     ii, jj = np.nonzero(grid.mask)
     index[ii, jj] = np.arange(len(ii))
-    cells = np.column_stack([ii, jj])
     h2 = grid.h * grid.h
 
     rows, cols, vals = [], [], []
@@ -103,23 +102,21 @@ def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
         (np.concatenate(vals) / h2, (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(ii), len(ii)),
     ).tocsr()
-    return SpectralProblem(matrix=A, grid=grid, cells=cells)
+    return SpectralProblem(matrix=A, grid=grid)
 
 
-def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
-                        max_iter: int = 500,
-                        seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray, int]:
+def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, int]:
     """Smallest eigenvalue by inverse power iteration.
 
     The operator is factorized once (sparse LU) and each iteration applies
     the inverse; the Rayleigh quotient is monitored until its relative change
-    drops below ``tol``.  The operator is symmetric and diagonally dominant,
+    drops below ``_TOL``, for at most ``_MAX_ITER`` iterations.  The operator is symmetric and diagonally dominant,
     so the factor takes a symmetric fill-reducing ordering (minimum degree on
     A^T + A) and pivots on the diagonal.  Requires at least one fixed face,
     which makes the operator positive definite.  Returns (eigenvalue,
     eigenvector, iterations).
     """
-    if not (problem.grid.face_labels == FACE_FIXED).any():
+    if not problem.grid.fixed_cells.any():
         raise PreconditionError(
             "operator is singular without any fixed boundary face"
         )
@@ -127,25 +124,25 @@ def principal_frequency(problem: SpectralProblem, tol: float = 1e-8,
 
     A = problem.matrix.tocsc()
     lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     x = rng.uniform(0.5, 1.5, problem.size)
     x /= np.linalg.norm(x)
     lam_old = float(x @ (A @ x))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         y = lu.solve(x)
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
             raise ConvergenceError("inverse iteration produced a degenerate vector")
         x = y / norm
         lam = float(x @ (A @ x))
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= _TOL * abs(lam):
             if x.sum() < 0:
                 x = -x
             return lam, x, it
         lam_old = lam
     residual = float(np.linalg.norm(A @ x - lam_old * x))
     raise ConvergenceError(
-        f"inverse iteration did not converge in {max_iter} steps "
+        f"inverse iteration did not converge in {_MAX_ITER} steps "
         f"(last eigenvalue {lam_old:.6g}, residual {residual:.3g})"
     )
 
@@ -215,12 +212,3 @@ def check_frequency_vs_half_ball(domain: LabeledDomain, h: float) -> FrequencyRe
         concavity_vacuous=report.vacuous,
     )
 
-
-def eigen_scalar_field(problem: SpectralProblem, vector: np.ndarray) -> ScalarField:
-    """Wrap an eigenvector as a nonnegative scalar field on the grid."""
-    vals = np.zeros(problem.grid.mask.shape)
-    vals[problem.cells[:, 0], problem.cells[:, 1]] = vector
-    if vals.sum() < 0:
-        vals = -vals
-    vals = np.clip(vals, 0.0, None)
-    return ScalarField(problem.grid, vals)

@@ -1,10 +1,11 @@
 """Package API hygiene, checked with the standard library's ``ast``.
 
-Every name a module lists in ``__all__`` exists, every name the package
-root imports resolves to the module's own object, no module imports a name
-it never uses, and every name a module defines at its top level is read
-somewhere in the package or its tests (each a leftover of deleted code),
-and so is every field of every dataclass.
+Every name a module lists in ``__all__`` exists and is wired (read by the
+package itself, or imported by the acceptance tests), every name the
+package root imports resolves to the module's own object, no module imports
+a name it never uses, and every name a module defines at its top level is
+read somewhere in the package or its tests (each a leftover of deleted
+code), and so is every field of every dataclass.
 """
 
 import ast
@@ -28,6 +29,50 @@ def _tree(path: Path) -> ast.Module:
 def test_every_exported_name_exists(name):
     module = importlib.import_module(f"freebdry.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unwired_names(modules: dict[str, ast.Module], imported: set[str]) -> list[str]:
+    """The ``__all__`` names of ``modules`` (name -> tree) that no top-level
+    statement of theirs reads, the name's own definition aside, and that
+    ``imported`` lacks.  An import, such as the package root's re-export, is
+    not a read, and neither is a string in ``__all__``."""
+    reads = [(mod, getattr(node, "name", None), read_names([node]))
+             for mod, tree in modules.items() for node in tree.body]
+    return sorted(name for mod, tree in modules.items() for name in exported(tree)
+                  if name not in imported
+                  and not any(name in r for m, own, r in reads if (m, own) != (mod, name)))
+
+
+def test_every_public_name_is_wired():
+    # public API that no campaign reaches is dead weight: it goes, unless
+    # the acceptance tests import it
+    modules = {name: _tree(SRC / f"{name}.py") for name in ["__init__", *MODULES]}
+    imported = {a.asname or a.name for node in ast.walk(_tree(TESTS / "test_acceptance.py"))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert unwired_names(modules, imported) == []
+
+
+def test_unwired_name_detector_sees_a_leftover():
+    module = ast.parse(
+        "__all__ = ['Field', 'check', 'flux', 'wrap', 'LIMIT']\n"
+        "LIMIT = 3\n"
+        "class Field:\n    def scaled(self):\n        return Field()\n"
+        "def check(f):\n    return f.values < LIMIT\n"
+        "def flux(f):\n    return flux(f)\n"
+        "def wrap(v):\n    return Field()\n"
+    )
+    root = ast.parse("from .m import Field, check, flux, wrap, LIMIT\n")
+    caller = ast.parse("x = m.check(1)\n")
+    assert unwired_names({"__init__": root, "m": module, "c": caller}, {"LIMIT"}) == ["flux", "wrap"]
 
 
 def test_package_root_imports_resolve():

@@ -144,7 +144,7 @@ def test_concavity_report_is_computed_once(dom, monkeypatch):
 
 def test_transformed_domain_gets_its_own_concavity_report():
     dom = counterexample_domain(CounterexampleSpec(a=3.0))
-    assert not is_concave_free_boundary(dom)
+    assert not is_concave_free_boundary(dom).concave
     moved = dom.transformed(shift=(1.0, 2.0))
     report = is_concave_free_boundary(moved)
     assert not report.concave

@@ -89,17 +89,26 @@ def test_counterexample_sweep(tmp_path):
     assert all(b > a for a, b in zip(lbs, lbs[1:]))
 
 
+@pytest.mark.parametrize("domain", ["annulus", "annulus-free-inner"])
+def test_symmetrize_with_holes_exits_3(capsys, domain):
+    # a reflection step cannot cut a domain with holes; skipping every step
+    # and exiting 0 would pass vacuously
+    assert run_cli(["symmetrize", "--domain", domain, "--steps", "3", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and "holes" in err
+
+
 def test_symmetrize_trace(tmp_path):
     out = tmp_path / "sym.json"
-    plots = tmp_path / "plots"
-    code = run_cli(["symmetrize", "--domain", "trapezoid", "--steps", "6",
-                    "--plot-data", str(plots), "--quiet", "--out", str(out)])
-    assert code == 0
+    table = tmp_path / "sym.csv"
+    argv = ["symmetrize", "--domain", "trapezoid", "--steps", "6", "--quiet"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["failures"] == []
     assert data["final_ratio"] <= data["initial_ratio"] + 1e-9
-    lines = (plots / "symmetrize_trace.csv").read_text().splitlines()
-    assert lines[0] == "step,ratio,area"
+    assert run_cli(argv + ["--format", "csv", "--out", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert lines[0] == "step,theta,ratio,area,projection_width,case"
     assert len(lines) == data["steps_run"] + 1
 
 
@@ -379,9 +388,16 @@ def test_non_finite_experiment_input_exits_3(capsys, flag, argv, value):
     ["moser", "--tol", "0.5"],
     ["eig", "--tol", "0.5"],
     ["eig", "--seed", "1"],
-], ids=["rearrange-tol", "sobolev-tol", "moser-tol", "eig-tol", "eig-seed"])
+    ["symmetrize", "--plot-data", "plots"],
+    ["sobolev", "--plot-data", "plots"],
+    ["counterexample", "--plot-data", "plots"],
+    ["eig", "--plot-data", "plots"],
+], ids=["rearrange-tol", "sobolev-tol", "moser-tol", "eig-tol", "eig-seed",
+        "symmetrize-plot-data", "sobolev-plot-data", "counterexample-plot-data",
+        "eig-plot-data"])
 def test_verdict_rules_are_not_flags(capsys, argv):
-    # each of these could loosen a verdict; the slack is a fixed constant
+    # each of these could loosen a verdict, whose slack is a fixed constant,
+    # or write a second copy of the report's ``--format csv`` table
     assert exit_code(argv + ["--quiet"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -438,13 +454,6 @@ def test_byte_identical_reruns(tmp_path):
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_outdir_environment_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("FREEBDRY_OUTDIR", str(tmp_path / "series"))
-    code = run_cli(["counterexample", "--a", "10", "--a", "100", "--quiet"])
-    assert code == 0
-    assert (tmp_path / "series" / "counterexample_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("sub", [

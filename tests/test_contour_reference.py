@@ -97,8 +97,8 @@ def reference_contour_segments(ext, xs, ys, level):
     return np.concatenate(segs, axis=0)
 
 
-def reference_level_stats(field, t, p=2.0):
-    """(surface, coarea, flux, reliable, segments) of one level."""
+def reference_level_stats(field, t):
+    """(surface, coarea, reliable, segments) of one level."""
     vmin, vmax = field.min_value, field.max_value
     if not vmin < t < vmax:
         raise PreconditionError(f"level {t} out of range")
@@ -111,15 +111,15 @@ def reference_level_stats(field, t, p=2.0):
     keep = lengths > 1e-14 * field.grid.h
     segments, lengths = segments[keep], lengths[keep]
     if len(segments) == 0:
-        return 0.0, 0.0, 0.0, False, segments
+        return 0.0, 0.0, False, segments
     mids = 0.5 * (segments[:, 0, :] + segments[:, 1, :])
     gmag = _bilinear_sample(field, mids)
     gsafe = np.clip(gmag, 1e-8, None)
     return (float(lengths.sum()), float((lengths / gsafe).sum()),
-            float((lengths * gsafe ** (p - 1.0)).sum()), bool((gmag > 1e-8).all()), segments)
+            bool((gmag > 1e-8).all()), segments)
 
 
-def assert_matches_reference(field, levels, ps=(2.0,)):
+def assert_matches_reference(field, levels):
     """Fill a fresh copy's cache with the whole (unsorted, duplicated, partly
     out-of-range) list, then compare every level with the reference."""
     fresh = ScalarField(field.grid, field.values)
@@ -127,17 +127,15 @@ def assert_matches_reference(field, levels, ps=(2.0,)):
     compared = 0
     for t in map(float, levels):
         try:
-            refs = [reference_level_stats(field, t, p) for p in ps]
+            ref = reference_level_stats(field, t)
         except PreconditionError:
-            for p in ps:
-                with pytest.raises(PreconditionError):
-                    level_stats(fresh, t, p)
+            with pytest.raises(PreconditionError):
+                level_stats(fresh, t)
             continue
-        for p, ref in zip(ps, refs):
-            ls = level_stats(fresh, t, p)
-            assert (ls.surface, ls.coarea_integral, ls.flux_p, ls.reliable) == ref[:4], (t, p)
+        ls = level_stats(fresh, t)
+        assert (ls.surface, ls.coarea_integral, ls.reliable) == ref[:3], t
         segments = _contour_chunk(fresh, _marching_blocks(fresh), np.array([t]))[0]
-        assert np.array_equal(_kept_segments(fresh, segments)[0], ref[4]), t
+        assert np.array_equal(_kept_segments(fresh, segments)[0], ref[3]), t
         compared += 1
     return compared
 
@@ -157,7 +155,7 @@ def scrambled(levels, field):
 def test_disk_fixtures_match_reference(disk_domain, fn):
     f = ScalarField.from_function(disk_domain, 1.0 / 128, fn)
     levels = scrambled(quantile_levels(f, 12), f)
-    assert assert_matches_reference(f, levels, ps=(1.5, 2.0, 3.0)) >= 12
+    assert assert_matches_reference(f, levels) >= 12
 
 
 def test_two_bumps_match_reference(square_domain):
@@ -176,7 +174,7 @@ def test_random_admissible_fields_match_reference():
         dom = domains.random_concave_domain(rng)
         f = random_admissible_field(dom, dom.diameter / 60.0, rng)
         levels = scrambled(quantile_levels(f, 24), f)
-        assert assert_matches_reference(f, levels, ps=(1.5, 3.0)) >= 20
+        assert assert_matches_reference(f, levels) >= 20
 
 
 def test_saddle_blocks_match_reference(square_domain):
@@ -213,6 +211,6 @@ def test_level_at_a_plateau_value_matches_reference(disk_domain):
 
 def test_single_level_without_prefill_matches_reference(disk_domain):
     f = ScalarField.from_function(disk_domain, 1.0 / 64, cone)
-    ls = level_stats(ScalarField(f.grid, f.values), 0.37, 2.5)
-    ref = reference_level_stats(f, 0.37, 2.5)
-    assert (ls.surface, ls.coarea_integral, ls.flux_p, ls.reliable) == ref[:4]
+    ls = level_stats(ScalarField(f.grid, f.values), 0.37)
+    ref = reference_level_stats(f, 0.37)
+    assert (ls.surface, ls.coarea_integral, ls.reliable) == ref[:3]
