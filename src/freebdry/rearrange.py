@@ -7,10 +7,11 @@ measure), then pushed onto the equal-area disk as a radially nonincreasing
 :class:`ScalarField`.  Level-set statistics -- contour length and the coarea
 integral of 1/|grad| -- are extracted by marching squares.  Each check hands
 its whole level list to one batched pass per field, which contours the
-levels a fixed-size chunk at a time, samples the gradient at the chunk's
-segment midpoints in one call, and keeps each level's segment lengths and
-midpoint gradients in a per-level contour cache on the field;
-``level_stats`` reads one level from that cache.
+levels in chunks of at most ``_PAIR_BUDGET`` crossed (block, level) pairs,
+samples the gradient at the chunk's segment midpoints in one call, and keeps
+each level's contour length, coarea integral and reliability flag in a
+per-level contour cache on the field; ``level_stats`` reads one level from
+that cache.
 
 A field's values are read-only, so the work that does not depend on the
 exponent p is done once per field and kept on it: the sorted values, which
@@ -94,7 +95,7 @@ class ScalarField:
         self.grid = grid
         self.values = np.where(grid.mask, np.clip(vals, 0.0, None), 0.0)
         self.values.flags.writeable = False
-        self._contours = {}  # level -> (segment lengths, |grad u| at midpoints)
+        self._contours = {}  # level -> (surface, coarea integral, reliable)
         self._usable = {}    # level count -> _usable_levels table
 
     @classmethod
@@ -194,10 +195,12 @@ class ScalarField:
 # distribution function and decreasing profile
 # ---------------------------------------------------------------------------
 
-def distribution_function(field: ScalarField, t: float) -> float:
-    """Measure of the strict super-level set { u > t } (cell counting)."""
+def distribution_function(field: ScalarField, t):
+    """Measure of the strict super-level set { u > t } (cell counting): a
+    float for one level, an array for an array of levels."""
     above = field.sorted_values.size - np.searchsorted(field.sorted_values, t, side="right")
-    return float(above) * field.grid.cell_area
+    out = above * field.grid.cell_area
+    return out if np.ndim(t) else float(out)
 
 
 @dataclass
@@ -224,35 +227,38 @@ class DecreasingProfile:
         out = np.interp(np.asarray(s, dtype=float), self._breaks, self.levels)
         return float(out) if np.isscalar(s) else out
 
-    def slope(self, s: float) -> float:
-        """Local slope at measure coordinate ``s``.
+    def slope(self, s: np.ndarray) -> np.ndarray:
+        """Local slope at each measure coordinate of the array ``s``.
 
         A least-squares line is fitted to the profile over a window around
-        ``s``; the window scales like the geometric mean of the cell area and
-        the total measure, which balances the cell-counting fluctuations of
-        the sorted values against curvature bias.
+        each coordinate; the window scales like the geometric mean of the
+        cell area and the total measure, which balances the cell-counting
+        fluctuations of the sorted values against curvature bias.  A window
+        of fewer than 8 breakpoints takes the chord between its ends, and an
+        empty one gives 0.
         """
+        s = np.asarray(s, dtype=float)
         total = self.total_measure
         # the sorted values carry cell-counting (lattice shell) noise that
         # grows with the super-level measure, so widen the fit window with s
         base = math.sqrt(self.cell_area * total)
-        window = base * (0.75 + 2.25 * math.sqrt(max(s, 0.0) / total))
-        window = max(window, 4.0 * self.cell_area)
-        lo = max(0.0, s - window)
-        hi = min(total, s + window)
-        if hi <= lo:
-            return 0.0
-        i0 = int(np.searchsorted(self._breaks, lo, side="left"))
-        i1 = int(np.searchsorted(self._breaks, hi, side="right"))
-        if i1 - i0 < 8:
-            return (self.value(hi) - self.value(lo)) / (hi - lo)
-        x = self._breaks[i0:i1]
-        y = self.levels[i0:i1]
-        xc = x - x.mean()
-        denom = float(np.sum(xc * xc))
-        if denom == 0.0:
-            return 0.0
-        return float(np.sum(xc * (y - y.mean()))) / denom
+        window = base * (0.75 + 2.25 * np.sqrt(np.maximum(s, 0.0) / total))
+        window = np.maximum(window, 4.0 * self.cell_area)
+        lo = np.maximum(0.0, s - window)
+        hi = np.minimum(total, s + window)
+        i0 = np.searchsorted(self._breaks, lo, side="left")
+        i1 = np.searchsorted(self._breaks, hi, side="right")
+        out = np.zeros_like(s)
+        chord = (hi > lo) & (i1 - i0 < 8)
+        out[chord] = ((self.value(hi[chord]) - self.value(lo[chord]))
+                      / (hi[chord] - lo[chord]))
+        for k in np.flatnonzero((hi > lo) & (i1 - i0 >= 8)):
+            # np.add.reduce(x) / n is x.mean() bit for bit
+            x = self._breaks[i0[k]:i1[k]]
+            y = self.levels[i0[k]:i1[k]]
+            xc = x - np.add.reduce(x) / x.size
+            out[k] = np.add.reduce(xc * (y - np.add.reduce(y) / y.size)) / np.add.reduce(xc * xc)
+        return out
 
 
 def decreasing_rearrangement(field: ScalarField) -> DecreasingProfile:
@@ -322,9 +328,10 @@ _MS_SADDLE = {
 _EDGE_FROM = np.array([0, 1, 3, 0])
 _EDGE_TO = np.array([1, 2, 2, 3])
 
-# Levels contoured together by one batched pass.  The (block, level) arrays
-# of a chunk grow with it, and they set the pass's peak memory.
-_LEVEL_CHUNK = 8
+# Crossed (block, level) pairs contoured together by one batched pass: a
+# chunk takes levels while its pairs fit, and at least one level.  The pair
+# arrays set the pass's peak memory.
+_PAIR_BUDGET = 1 << 13
 
 
 def _case_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +368,14 @@ def _marching_blocks(field: ScalarField) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _contour_chunk(field: ScalarField, blocks: tuple[np.ndarray, ...],
-                   levels: np.ndarray) -> list[np.ndarray]:
+                   levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Marching squares at every level of the sorted, distinct ``levels``.
 
     A block is crossed by exactly the levels t with min <= t < max of its
-    corners; all (block, level) pairs are resolved at once.  Returns one
-    (K, 2, 2) segment array per level, its segments ordered by case, then
+    corners; all (block, level) pairs are resolved at once.  Returns the
+    (K, 2, 2) segments of all levels, ordered by level, then case, then
     saddle choice, then pair, then block, so that per-level sums match a
-    case-by-case pass bit for bit.
+    case-by-case pass bit for bit, and each level's segment count.
     """
     sw, lo, hi = blocks
     ny, nx = field.mirrored_values.shape
@@ -400,21 +407,14 @@ def _contour_chunk(field: ScalarField, blocks: tuple[np.ndarray, ...],
     (y0, x0), (y1, x1) = np.divmod(p0, nx), np.divmod(p1, nx)
     x = xs[x0] + s * (xs[x1] - xs[x0])
     y = ys[y0] + s * (ys[y1] - ys[y0])
-    counts = np.bincount(lev[pair], minlength=len(levels))
-    return np.split(np.stack([x, y], axis=-1), np.cumsum(counts)[:-1])
-
-
-def _kept_segments(field: ScalarField, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The segments longer than 1e-14 h, and their lengths."""
-    lengths = np.hypot(*(segments[:, 1, :] - segments[:, 0, :]).T)
-    keep = lengths > 1e-14 * field.grid.h
-    return segments[keep], lengths[keep]
+    return np.stack([x, y], axis=-1), np.bincount(lev[pair], minlength=len(levels))
 
 
 def _fill_contours(field: ScalarField, levels) -> None:
     """Contour every level of ``levels`` strictly inside the field's range
-    that the field's contour cache lacks, in sorted chunks of
-    ``_LEVEL_CHUNK`` levels."""
+    that the field's contour cache lacks, in sorted chunks of at most
+    ``_PAIR_BUDGET`` crossed (block, level) pairs, and cache each level's
+    statistics.  Segments of length at most 1e-14 h are dropped."""
     vmin, vmax = field.value_range
     todo = np.unique(np.asarray(levels, dtype=float))
     todo = todo[(todo > vmin) & (todo < vmax)]
@@ -422,16 +422,29 @@ def _fill_contours(field: ScalarField, levels) -> None:
     if todo.size == 0:
         return
     blocks = _marching_blocks(field)
-    for start in range(0, todo.size, _LEVEL_CHUNK):
-        chunk = todo[start:start + _LEVEL_CHUNK]
-        kept = [_kept_segments(field, segments)
-                for segments in _contour_chunk(field, blocks, chunk)]
+    _, lo, hi = blocks
+    # level j crosses the blocks with lo <= todo[j] < hi; upto[j] counts the
+    # pairs of levels 0..j
+    opened = np.bincount(np.searchsorted(todo, lo, side="left"), minlength=todo.size + 1)
+    closed = np.bincount(np.searchsorted(todo, hi, side="left"), minlength=todo.size + 1)
+    upto = np.cumsum(np.cumsum(opened - closed)[:-1])
+    start = 0
+    while start < todo.size:
+        done = upto[start - 1] if start else 0
+        stop = max(int(np.searchsorted(upto, done + _PAIR_BUDGET, side="right")), start + 1)
+        chunk, start = todo[start:stop], stop
+        segments, counts = _contour_chunk(field, blocks, chunk)
+        lengths = np.hypot(*(segments[:, 1, :] - segments[:, 0, :]).T)
+        keep = lengths > 1e-14 * field.grid.h
+        ends = np.concatenate([[0], np.cumsum(keep)])[np.cumsum(counts)]
+        segments, lengths = segments[keep], lengths[keep]
         # the sample is pointwise: one call per chunk gives each level's bits
-        mids = np.concatenate([0.5 * (seg[:, 0, :] + seg[:, 1, :]) for seg, _ in kept])
-        gmag = np.split(_bilinear_sample(field, mids),
-                        np.cumsum([len(lengths) for _, lengths in kept])[:-1])
-        for t, (_, lengths), g in zip(chunk, kept, gmag):
-            field._contours[float(t)] = (lengths, g)
+        gmag = _bilinear_sample(field, 0.5 * (segments[:, 0, :] + segments[:, 1, :]))
+        weights = lengths / np.clip(gmag, 1e-8, None)
+        steep = gmag > 1e-8
+        for t, a, b in zip(chunk.tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
+            field._contours[t] = (float(lengths[a:b].sum()), float(weights[a:b].sum()),
+                                  b > a and bool(steep[a:b].all()))
 
 
 @dataclass(frozen=True)
@@ -464,13 +477,7 @@ def level_stats(field: ScalarField, t: float) -> LevelStats:
         )
     if float(t) not in field._contours:
         _fill_contours(field, [t])
-    lengths, gmag = field._contours[float(t)]
-    if len(lengths) == 0:
-        return LevelStats(t, 0.0, 0.0, False)
-    reliable = bool((gmag > 1e-8).all())
-    surface = float(lengths.sum())
-    coarea = float((lengths / np.clip(gmag, 1e-8, None)).sum())
-    return LevelStats(t, surface, coarea, reliable)
+    return LevelStats(t, *field._contours[float(t)])
 
 
 def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -503,12 +510,13 @@ def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
 def quantile_levels(field: ScalarField, m: int = 64) -> np.ndarray:
     """Levels at the (k + 1/2)/m quantiles of the active (above-minimum)
     cell values, clipped away from the extremes."""
-    vals = field.values_inside()
     vmin, vmax = field.value_range
     if vmax <= vmin:
         return np.empty(0)
     span = vmax - vmin
-    active = vals[vals > vmin + 1e-12 * span]
+    # np.quantile reads order statistics only, so the sorted suffix serves
+    vals = field.sorted_values
+    active = vals[np.searchsorted(vals, vmin + 1e-12 * span, side="right"):]
     if active.size == 0:
         return np.empty(0)
     q = (np.arange(m) + 0.5) / m
@@ -538,17 +546,12 @@ def _usable_levels(field: ScalarField, m: int) -> tuple[tuple, ...]:
         return field._usable[m]
     levels = quantile_levels(field, m)
     _fill_contours(field, levels)
-    profile = decreasing_rearrangement(field)
-    usable = []
-    for t in map(float, levels):
-        try:
-            ls = level_stats(field, t)
-        except PreconditionError:
-            continue
-        if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0:
-            s = distribution_function(field, t)
-            usable.append((t, ls, s, profile.slope(s)))
-    field._usable[m] = tuple(usable)
+    stats = [ls for ls in (level_stats(field, t) for t in levels.tolist())
+             if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0]
+    t = np.array([ls.level for ls in stats])
+    s = distribution_function(field, t)
+    slopes = decreasing_rearrangement(field).slope(s)
+    field._usable[m] = tuple(zip(t.tolist(), stats, s.tolist(), slopes.tolist()))
     return field._usable[m]
 
 

@@ -1,23 +1,30 @@
-"""The batched marching-squares pass against the per-level reference.
+"""The batched level-set passes against their per-level references.
 
-The reference below is the case-by-case marching squares that contoured one
-level per call; the batched pass must reproduce its statistics exactly
-(``==``), since every report sums them in the same order.
+The contour reference below is the case-by-case marching squares that
+contoured one level per call; the batched pass must reproduce its statistics
+exactly (``==``), since every report sums them in the same order.  The slope
+and quantile references are the per-coordinate profile fit and the masked
+quantiles that the batched forms replaced, and must agree bit for bit too.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from freebdry import domains
+from freebdry import domains, rearrange
 from freebdry.errors import PreconditionError
 from freebdry.rearrange import (
+    DecreasingProfile,
     ScalarField,
     _bilinear_sample,
     _contour_chunk,
     _fill_contours,
-    _kept_segments,
     _marching_blocks,
     _mirror_extended,
+    _usable_levels,
+    decreasing_rearrangement,
+    distribution_function,
     level_stats,
     quantile_levels,
     random_admissible_field,
@@ -135,7 +142,8 @@ def assert_matches_reference(field, levels):
         ls = level_stats(fresh, t)
         assert (ls.surface, ls.coarea_integral, ls.reliable) == ref[:3], t
         segments = _contour_chunk(fresh, _marching_blocks(fresh), np.array([t]))[0]
-        assert np.array_equal(_kept_segments(fresh, segments)[0], ref[3]), t
+        lengths = np.hypot(*(segments[:, 1, :] - segments[:, 0, :]).T)
+        assert np.array_equal(segments[lengths > 1e-14 * fresh.grid.h], ref[3]), t
         compared += 1
     return compared
 
@@ -169,21 +177,29 @@ def test_two_bumps_match_reference(square_domain):
 
 
 def test_random_admissible_fields_match_reference():
-    rng = np.random.default_rng(4242)
-    for _ in range(4):
-        dom = domains.random_concave_domain(rng)
-        f = random_admissible_field(dom, dom.diameter / 60.0, rng)
+    for f in generated_fields(4242, 4, 60.0):
         levels = scrambled(quantile_levels(f, 24), f)
         assert assert_matches_reference(f, levels) >= 20
+
+
+def saddle_field(square_domain):
+    return ScalarField.from_function(
+        square_domain, 1.0 / 40,
+        lambda X, Y: 1.5 + np.cos(3 * np.pi * X) * np.cos(3 * np.pi * Y),
+    )
+
+
+def generated_fields(seed, count, cells):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dom = domains.random_concave_domain(rng)
+        yield random_admissible_field(dom, dom.diameter / cells, rng)
 
 
 def test_saddle_blocks_match_reference(square_domain):
     # cos*cos has saddles at value 1.5 between its bumps; levels just above
     # and below it give saddle blocks with centers on either side
-    f = ScalarField.from_function(
-        square_domain, 1.0 / 40,
-        lambda X, Y: 1.5 + np.cos(3 * np.pi * X) * np.cos(3 * np.pi * Y),
-    )
+    f = saddle_field(square_domain)
     ext = _mirror_extended(f, f.values)
     levels = [1.5 + d for d in (-0.05, -0.01, -1e-3, 0.0, 1e-3, 0.01, 0.05)]
     above = below = 0
@@ -214,3 +230,98 @@ def test_single_level_without_prefill_matches_reference(disk_domain):
     ls = level_stats(ScalarField(f.grid, f.values), 0.37)
     ref = reference_level_stats(f, 0.37)
     assert (ls.surface, ls.coarea_integral, ls.reliable) == ref[:3]
+
+
+def test_statistics_do_not_depend_on_the_chunking(monkeypatch, disk_domain, square_domain):
+    # one level per chunk and one chunk for the whole level list give the
+    # same cached statistics and the same usable-level tables as the budget
+    fields = [ScalarField.from_function(disk_domain, 1.0 / 64, fn) for fn in (cone, paraboloid)]
+    fields += [saddle_field(square_domain), *generated_fields(99, 4, 48.0)]
+    chunks = []
+    contour = rearrange._contour_chunk
+    monkeypatch.setattr(rearrange, "_contour_chunk",
+                        lambda f, b, levels: chunks.append(levels.size) or contour(f, b, levels))
+    for f in fields:
+        runs = []
+        for budget in (rearrange._PAIR_BUDGET, 1, 10**9):
+            monkeypatch.setattr(rearrange, "_PAIR_BUDGET", budget)
+            fresh = ScalarField(f.grid, f.values)
+            chunks.clear()
+            tables = [_usable_levels(fresh, m) for m in (16, 96)]
+            runs.append((fresh._contours, tables))
+            assert chunks, budget
+            if budget == 1:
+                assert set(chunks) == {1}
+            elif budget == 10**9:
+                assert len(chunks) == 2
+        assert len(runs[0][0]) > 40 and len(runs[0][1][1]) > 40
+        assert runs[0] == runs[1] == runs[2]
+
+
+def reference_slope(profile, s):
+    """The per-coordinate profile slope that the batched fit replaced."""
+    total = profile.total_measure
+    base = math.sqrt(profile.cell_area * total)
+    window = base * (0.75 + 2.25 * math.sqrt(max(s, 0.0) / total))
+    window = max(window, 4.0 * profile.cell_area)
+    lo = max(0.0, s - window)
+    hi = min(total, s + window)
+    if hi <= lo:
+        return 0.0
+    breaks = (np.arange(len(profile.levels)) + 0.5) * profile.cell_area
+    i0 = int(np.searchsorted(breaks, lo, side="left"))
+    i1 = int(np.searchsorted(breaks, hi, side="right"))
+    if i1 - i0 < 8:
+        return (profile.value(hi) - profile.value(lo)) / (hi - lo)
+    x = breaks[i0:i1]
+    y = profile.levels[i0:i1]
+    xc = x - x.mean()
+    denom = float(np.sum(xc * xc))
+    if denom == 0.0:
+        return 0.0
+    return float(np.sum(xc * (y - y.mean()))) / denom
+
+
+def assert_slopes_match_reference(profile, s):
+    ref = np.array([reference_slope(profile, float(z)) for z in s])
+    assert np.array_equal(profile.slope(np.asarray(s)), ref)
+
+
+@pytest.mark.parametrize("cells", [6, 20, 40, 500, 5000])
+def test_slopes_match_reference_on_synthetic_profiles(cells):
+    # on 6 cells every window holds fewer than 8 breakpoints, on 20 and 40
+    # some do; windows near 0 and near the total measure are clipped, and
+    # coordinates far past the total measure give empty windows
+    rng = np.random.default_rng(cells)
+    profile = DecreasingProfile(np.sort(rng.random(cells))[::-1], 0.37 / cells)
+    total = profile.total_measure
+    s = np.concatenate([[0.0, 1e-300, total, total * (1 - 1e-12), 1.5 * total, 3.0 * total],
+                        np.linspace(0.0, total, 41), rng.random(40) * total])
+    assert_slopes_match_reference(profile, s)
+
+
+def test_slopes_match_reference_at_the_usable_levels(disk_domain, square_domain):
+    fields = [ScalarField.from_function(disk_domain, 1.0 / 64, cone), saddle_field(square_domain),
+              *generated_fields(7, 4, 48.0)]
+    for f in fields:
+        s = distribution_function(f, quantile_levels(f, 96))
+        assert_slopes_match_reference(decreasing_rearrangement(f), np.concatenate([[0.0], s]))
+
+
+def reference_quantile_levels(field, m):
+    """The quantile levels over the masked, unsorted active values."""
+    vals = field.values_inside()
+    vmin, vmax = field.value_range
+    span = vmax - vmin
+    active = vals[vals > vmin + 1e-12 * span]
+    levels = np.quantile(active, (np.arange(m) + 0.5) / m)
+    return np.unique(levels[(levels > vmin + 1e-9 * span) & (levels < vmax - 1e-9 * span)])
+
+
+def test_quantile_levels_match_the_masked_form(half_disk_domain):
+    rng = np.random.default_rng(11)
+    fields = [random_admissible_field(half_disk_domain, 1.0 / 64, rng),
+              *generated_fields(12, 10, 40.0)]
+    for f in fields:
+        for m in (16, 96):
+            assert np.array_equal(quantile_levels(f, m), reference_quantile_levels(f, m))

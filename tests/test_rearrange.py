@@ -380,7 +380,8 @@ def test_nonfinite_field_rejected(square_domain):
 def test_exponents_share_the_field_work(monkeypatch, tmp_path):
     # one rearrange call at three exponents contours each level once, in one
     # _contour_chunk and one gradient sample per chunk, sorts the field once
-    # and builds one radial rearrangement
+    # and builds one radial rearrangement; a chunk of several levels crosses
+    # at most _PAIR_BUDGET (block, level) pairs
     from freebdry import rearrange
     from freebdry.cli import main
 
@@ -409,8 +410,12 @@ def test_exponents_share_the_field_work(monkeypatch, tmp_path):
     chunks = calls["freebdry.rearrange._contour_chunk"]
     contoured = np.concatenate(chunks)
     assert np.unique(contoured).size == contoured.size == len(first) + len(second)
-    per_chunk = rearrange._LEVEL_CHUNK
-    assert len(chunks) == -(-len(first) // per_chunk) + -(-len(second) // per_chunk)
+    _, lo, hi = rearrange._marching_blocks(field)
+    for chunk in chunks:
+        crossed = (np.searchsorted(np.sort(lo), chunk, "right")
+                   - np.searchsorted(np.sort(hi), chunk, "right"))
+        assert chunk.size == 1 or crossed.sum() <= rearrange._PAIR_BUDGET
+    assert len(chunks) > 2
     assert len(calls["freebdry.rearrange._bilinear_sample"]) == len(chunks)
     assert calls["numpy.sort"] == [field.values_inside().size]
     assert len(calls["freebdry.rearrange.radial_rearrangement"]) == 1
