@@ -8,8 +8,9 @@ CSV, and exits with a machine-readable status:
     2  input parsing failed, or ``--h``, ``--n``/``--p``, ``--random`` or ``--steps`` is out of range
     3  a precondition was violated: the free chain of the domain of ``isoperim``,
        ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave, the domain of
-       ``symmetrize`` has holes, a field is not zero on the fixed boundary, or
-       ``--epsilon``/``--p`` is NaN/inf
+       ``symmetrize`` has holes, a field is not zero on the fixed boundary,
+       ``--epsilon``/``--p`` is NaN/inf, or the curvature ``--a`` or
+       ``counterexample:<a>`` is not above 1 or makes 8 a^2 overflow
     4  an asserted inequality failed
 """
 

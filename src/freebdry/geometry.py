@@ -209,6 +209,25 @@ def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, .
     return pts, tuple(labels)
 
 
+def _free_chain_rows(free: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The edge-table rows of the free edges in chain order, ``free``
+    flagging the edges of loops of ``sizes`` edges each: from the free edge
+    whose predecessor on its loop is fixed, or from the first edge of an
+    all-free loop, around the loop; empty with no free edge.  Raises unless
+    the free edges form one run."""
+    chain, runs, first = [], 0, 0
+    for size in sizes:
+        flags = free[first:first + size].tolist()
+        heads = [0] if all(flags) else [i for i, f in enumerate(flags) if f and not flags[i - 1]]
+        runs += len(heads)
+        if heads:
+            chain = [first + (heads[0] + k) % size for k in range(sum(flags))]
+        first += size
+    if runs > 1:
+        raise DomainValidationError("free edges must form one connected boundary chain")
+    return np.array(chain, dtype=np.intp)
+
+
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Even-odd ray casting, vectorized over ``points`` (N, 2).  An edge
     from y1 to y2 is crossed by the rays of the points with
@@ -399,7 +418,8 @@ class LabeledDomain:
 
     Vertices are stored counterclockwise; edge i joins vertex i to vertex
     i + 1 (cyclically) and carries ``labels[i]``.  The free edges, wherever
-    they live, must form a single connected chain.  Each hole lies inside the
+    they live, must form a single connected chain; its edge-table rows, in
+    chain order, are laid out once.  Each hole lies inside the
     outer polygon and outside every other hole, and no edge of one loop
     crosses an edge of another.  ``hole_labels``, when given, has one entry
     per hole: its label list, or ``None`` for an all-fixed hole.
@@ -411,7 +431,8 @@ class LabeledDomain:
     on the domain for every later call.
     """
 
-    __slots__ = ("vertices", "labels", "holes", "hole_labels", "area", "_edges", "_concavity")
+    __slots__ = ("vertices", "labels", "holes", "hole_labels", "area", "_edges", "_free_chain",
+                 "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
         pts, labels = _checked_loop(vertices, labels, "polygon")
@@ -435,10 +456,12 @@ class LabeledDomain:
             np.repeat(np.arange(len(loops)), [len(loop) for loop in loops]))
         _check_crossings(edges.start, edges.end, edges.loop, float(np.max(np.ptp(pts, axis=0))))
         _check_holes(pts, hole_list)
+        chain = _free_chain_rows(edges.free, [len(loop) for loop in loops])
 
-        for a in (*loops, *edges):
+        for a in (*loops, *edges, chain):
             a.setflags(write=False)
         self._edges = edges
+        self._free_chain = chain
         self.vertices = pts
         self.labels = labels
         self.holes = tuple(hole_list)
@@ -448,22 +471,6 @@ class LabeledDomain:
             area -= _signed_area(h)
         self.area = area
         self._concavity = None
-        self._check_free_chain()
-
-    # -- structural checks ----------------------------------------------------
-
-    def _check_free_chain(self) -> None:
-        runs = 0
-        for labs in (self.labels, *self.hole_labels):
-            flags = [l == FREE for l in labs]
-            if all(flags):
-                runs += 1
-            elif any(flags):
-                runs += sum(1 for i, f in enumerate(flags) if f and not flags[i - 1])
-        if runs > 1:
-            raise DomainValidationError(
-                "free edges must form one connected boundary chain"
-            )
 
     # -- basic measurements -----------------------------------------------------
 
@@ -529,11 +536,12 @@ class LabeledDomain:
     # -- free-chain parameterization -------------------------------------------------
 
     def free_chain_points(self, n: int) -> np.ndarray:
-        """``n`` points spread uniformly in arc length over the free chain."""
-        free = self._edges.free
-        a, b, lens = self._edges.start[free], self._edges.end[free], self._edges.length[free]
-        if not len(lens):
+        """``n`` points spread uniformly in arc length over the free chain,
+        in chain order."""
+        chain = self._free_chain
+        if not len(chain):
             return np.empty((0, 2))
+        a, b, lens = self._edges.start[chain], self._edges.end[chain], self._edges.length[chain]
         cum = np.concatenate([[0.0], np.cumsum(lens)])
         s = np.linspace(0.0, cum[-1], n)
         idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
@@ -642,7 +650,8 @@ def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     """Check that every chord between two free-boundary points avoids the
     interior.
 
-    The free chain is sampled at 64 arc-length-uniform points; for each
+    The free chain is sampled at 64 arc-length-uniform points in chain
+    order, so the samples do not depend on which vertex is 0; for each
     point pair the chord is probed at its midpoint and quarter points.  A
     probe counts as interior only if it lies inside the domain with positive
     clearance from the boundary, so chords running along a straight free

@@ -197,16 +197,17 @@ def moser_report(field: ScalarField) -> MoserReport:
 class CounterexampleSpec:
     """Parameters of the concentration construction on the parabola domain.
 
-    ``a`` is the parabola's curvature parameter (> 1); ``tau0`` the aperture
-    constant (at most 1/100).
+    ``a`` is the parabola's curvature parameter (> 1, 8 a^2 finite); ``tau0`` the
+    aperture constant (at most 1/100).
     """
 
     a: float
     tau0: float = 0.01
 
     def __post_init__(self):
-        if not self.a > 1.0:
-            raise PreconditionError("curvature parameter must exceed 1")
+        # NaN fails both; the energy deficit divides by pi ln(1/lambda) < 8 a^2
+        if not (self.a > 1.0 and math.isfinite(8.0 * self.a * self.a)):
+            raise PreconditionError("curvature parameter must exceed 1, with 8 a^2 finite")
         if not 0.0 < self.tau0 <= 0.01:
             raise PreconditionError("aperture constant must lie in (0, 1/100]")
 

@@ -374,12 +374,28 @@ def test_negative_seed_exits_2(capsys, argv):
 @pytest.mark.parametrize("flag, argv", [
     ("--epsilon", ["sobolev", "--h", "0.0625", "--random", "0"]),
     ("--p", ["rearrange", "--h", "0.0625"]),
-], ids=["sobolev-epsilon", "rearrange-p"])
+    ("--a", ["counterexample"]),
+], ids=["sobolev-epsilon", "rearrange-p", "counterexample-a"])
 def test_non_finite_experiment_input_exits_3(capsys, flag, argv, value):
     # NaN fails every comparison, so it must fail the guard, not pass it
     assert run_cli([*argv, f"{flag}={value}", "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--a=1e154"],
+    ["counterexample", "--a=1e200"],
+    ["isoperim", "--domain", "counterexample:inf"],
+    ["isoperim", "--domain", "counterexample:nan"],
+    ["isoperim", "--domain", "counterexample:1e200"],
+])
+def test_counterexample_curvature_out_of_range_exits_3(capsys, argv):
+    # ln(1/lambda) = 2 a^2 must stay finite: beyond that the energy deficit
+    # rounds to 0 or the construction overflows, so the parameter is refused
+    assert run_cli(argv + ["--quiet"]) == 3
+    assert capsys.readouterr().err == ("precondition violated: curvature parameter "
+                                       "must exceed 1, with 8 a^2 finite\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -614,20 +630,76 @@ def _sector_json(alpha, segments, tip_first):
     return json.dumps({"vertices": vertices, "labels": labels})
 
 
-@pytest.mark.parametrize("tip_first", [
-    pytest.param(True, marks=pytest.mark.xfail(
-        strict=True, reason="free_chain_points lays the free edges out in edge-table "
-                            "order, so the bubble centre lands on a corner of the arc")),
-    False,
-], ids=["numbered-from-tip", "numbered-from-arc"])
+@pytest.mark.parametrize("tip_first", [True, False], ids=["numbered-from-tip", "numbered-from-arc"])
 def test_sobolev_on_sector_does_not_depend_on_vertex_numbering(tmp_path, tip_first):
-    # the same 1.5 pi sector either way; numbered from the tip, the midpoint
-    # of the free chain falls where a radius meets the fixed arc, and the
-    # campaign exits 3 with a clearance of 1.8e-19
+    # the same 1.5 pi sector either way; numbered from the tip, the free
+    # chain wraps past vertex 0, and its midpoint, the bubble centre, is the
+    # tip only if the chain is walked in chain order: in edge-table order it
+    # falls where a radius meets the fixed arc, with a clearance of 1.8e-19
     spec = tmp_path / "sector.json"
     spec.write_text(_sector_json(1.5 * math.pi, 256, tip_first))
     assert run_cli(["sobolev", "--domain", str(spec), "--h", "0.0078125",
                     "--random", "0", "--quiet"]) == 0
+
+
+def _numbers(report, path=()):
+    """The leaves of a JSON report as (path, value) pairs, in order."""
+    if isinstance(report, dict):
+        return [leaf for k, v in report.items() for leaf in _numbers(v, path + (k,))]
+    if isinstance(report, list):
+        return [leaf for k, v in enumerate(report) for leaf in _numbers(v, path + (k,))]
+    return [(path, report)]
+
+
+def _rolled_domains():
+    """Domain JSON of every builtin and of two sectors, each with its outer
+    loop numbered from vertex 0, 1, m // 3, m // 2 and m - 1."""
+    from freebdry.domains import BUILTIN_NAMES, builtin_domain
+
+    specs = {name: builtin_domain(name).to_json_dict() for name in BUILTIN_NAMES}
+    for alpha in (0.9, 1.5):
+        specs[f"sector-{alpha}pi"] = json.loads(_sector_json(alpha * math.pi, 64, tip_first=False))
+    for name, spec in specs.items():
+        m = len(spec["vertices"])
+        rolls = sorted({1, m // 3, m // 2, m - 1} - {0})
+        yield pytest.param(spec, rolls, id=name)
+
+
+def _roll(spec, r):
+    return {**spec, "vertices": spec["vertices"][r:] + spec["vertices"][:r],
+            "labels": spec["labels"][r:] + spec["labels"][:r]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["isoperim"],
+    ["sobolev", "--h", "0.03125", "--random", "1"],
+    ["eig", "--h", "0.03125"],
+], ids=["isoperim", "sobolev", "eig"])
+@pytest.mark.parametrize("spec, rolls", _rolled_domains())
+def test_reports_do_not_depend_on_vertex_numbering(tmp_path, capsys, spec, rolls, argv):
+    # the same domain numbered from another vertex gives the same exit code
+    # and the same numbers; the sums run in another order, so not the same
+    # bytes (the largest drift seen is 1.9e-11 relative, on the half disk)
+    def run(r):
+        path, out = tmp_path / f"domain{r}.json", tmp_path / f"report{r}.json"
+        path.write_text(json.dumps(_roll(spec, r)))
+        code = exit_code(argv + ["--domain", str(path), "--quiet", "--out", str(out)])
+        return code, capsys.readouterr().err, json.loads(out.read_text()) if out.exists() else None
+
+    code, err, report = run(0)
+    for r in rolls:
+        rolled_code, rolled_err, rolled = run(r)
+        assert (rolled_code, rolled_err) == (code, err), r
+        if report is None:
+            assert rolled is None
+            continue
+        leaves, rolled_leaves = _numbers(report), _numbers(rolled)
+        assert [p for p, _ in rolled_leaves] == [p for p, _ in leaves]
+        for (path, a), (_, b) in zip(leaves, rolled_leaves):
+            if isinstance(a, float):
+                assert b == pytest.approx(a, rel=1e-9, abs=0.0), (r, path)
+            else:
+                assert b == a, (r, path)
 
 
 def _free_lower_arc_disk_json(segments=32):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from freebdry.geometry import (
     symmetrize_iterate,
 )
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
+from tests.test_cli import _sector_json
 from tests.test_cut_reference import reference_area_above
 
 
@@ -139,12 +141,6 @@ def test_degenerate_polygon_rejected():
         LabeledDomain([(0, 0), (1, 0), (2, 0)], [FIXED] * 3)
 
 
-def test_disconnected_free_chain_rejected():
-    pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    with pytest.raises(DomainValidationError):
-        LabeledDomain(pts, [FREE, FIXED, FREE, FIXED])
-
-
 def test_hole_outside_rejected():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
     hole = [(2, 2), (3, 2), (3, 3), (2, 3)]
@@ -184,6 +180,52 @@ def test_non_finite_vertex_rejected(bad):
     with pytest.raises(DomainValidationError, match="finite"):
         LabeledDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [FIXED] * 4,
                       holes=[[(1, 1), (2, 1), (2, bad)]])
+
+
+# the free chain's edge-table rows, in chain order
+
+def test_free_chain_wrapping_past_vertex_0_starts_after_the_fixed_edges():
+    # numbered from its tip, the sector's free chain is its last edge, from
+    # the arc's end to the tip, then edge 0, from the tip to the arc
+    dom = LabeledDomain.from_json_dict(json.loads(_sector_json(1.5 * math.pi, 64, tip_first=True)))
+    m = len(dom.vertices)
+    assert dom._free_chain.tolist() == [m - 1, 0]
+    # so the chain's midpoint, the bubble centre, is the tip
+    assert np.array_equal(dom.free_chain_points(3), [dom.vertices[m - 1], [0.0, 0.0], [1.0, 0.0]])
+
+
+def test_free_chain_of_an_all_free_hole_is_its_rows_in_order():
+    assert domains.square_annulus(free_inner=True)._free_chain.tolist() == [4, 5, 6, 7]
+
+
+def test_free_chain_wrapping_on_a_hole():
+    dom = LabeledDomain([(0, 0), (4, 0), (4, 4), (0, 4)], [FIXED] * 4, holes=[_HOLE],
+                        hole_labels=[[FREE, FIXED, FIXED, FREE]])
+    assert dom._free_chain.tolist() == [7, 4]
+
+
+def test_free_chain_of_an_all_fixed_domain_is_empty():
+    chain = domains.unit_square()._free_chain
+    assert chain.dtype == np.intp and chain.shape == (0,)
+
+
+@pytest.mark.parametrize("labels, hole_labels", [
+    ([FREE, FIXED, FREE, FIXED], None),
+    ([FREE, FIXED, FIXED, FIXED], [[FREE, FIXED, FIXED, FIXED], None]),
+    ([FIXED] * 4, [[FREE] * 4, [FREE] * 4]),
+], ids=["two-runs-on-one-loop", "outer-loop-and-hole", "two-all-free-holes"])
+def test_disconnected_free_chain_rejected(labels, hole_labels):
+    with pytest.raises(DomainValidationError,
+                       match="^free edges must form one connected boundary chain$"):
+        LabeledDomain([(0, 0), (4, 0), (4, 4), (0, 4)], labels, holes=[_HOLE, _SMALL_HOLE],
+                      hole_labels=hole_labels)
+
+
+def test_free_chain_is_read_only():
+    chain = domains.half_disk()._free_chain
+    assert chain.tolist() == [64]
+    with pytest.raises(ValueError, match="read-only"):
+        chain[0] = 0
 
 
 # -- area and lengths -------------------------------------------------------
