@@ -34,11 +34,16 @@ __all__ = [
 ]
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments (``math.gamma``)."""
+    """Gamma function for positive real arguments (``math.gamma``); raises
+    :class:`ParameterError` where it overflows a float (x above about 171.6),
+    which bounds the dimension of every constant below."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma_fn requires a positive argument, got {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ParameterError(f"gamma({x}) overflows a float: the dimension is too large") from None
 
 
 def _check_dimension(n: int) -> int:

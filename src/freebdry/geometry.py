@@ -76,56 +76,12 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
-def _pairwise_sum(terms: list) -> float:
-    """numpy's ``pairwise_sum`` on a float list: below 8 terms left to right
-    from 0.0; up to 128 terms in eight strided accumulators, combined
-    pairwise, then the remainder; above that the two halves, split at a
-    multiple of 8, each summed the same way."""
-    n = len(terms)
-    if n < 8:
-        res = 0.0
-        for t in terms:
-            res += t
-        return res
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    tail = n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
-    for i in range(8, tail, 8):
-        t0, t1, t2, t3, t4, t5, t6, t7 = terms[i:i + 8]
-        r0 += t0
-        r1 += t1
-        r2 += t2
-        r3 += t3
-        r4 += t4
-        r5 += t5
-        r6 += t6
-        r7 += t7
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for t in terms[tail:]:
-        res += t
-    return res
-
-
-def _float_sum(terms: list) -> float:
-    """``float(np.sum(terms))`` bit for bit, without making an array: the
-    reduction adds the pairwise sum to its identity 0.0, which turns a sum
-    of -0.0 into 0.0."""
-    return 0.0 + _pairwise_sum(terms)
-
-
-def _shoelace(x: list, y: list) -> float:
-    """Signed area of the polygon whose vertices have the float coordinates
-    ``x``, ``y``: the terms ``x_k y_{k+1} - x_{k+1} y_k``, summed as
-    ``np.sum`` sums them.  The one polygon-area helper."""
-    return 0.5 * _float_sum([xi * yj - xj * yi for xi, yi, xj, yj in
-                             zip(x, y, x[1:] + x[:1], y[1:] + y[:1])])
-
-
 def _signed_area(pts: np.ndarray) -> float:
-    return _shoelace(pts[:, 0].tolist(), pts[:, 1].tolist())
+    """Signed area of a polygon (positive counterclockwise), by the
+    shoelace.  The one polygon-area helper."""
+    x, y = pts[:, 0], pts[:, 1]
+    x1, y1 = _next(pts).T
+    return 0.5 * float(np.sum(x * y1 - x1 * y))
 
 
 def _edge_lengths(pts: np.ndarray) -> np.ndarray:
@@ -185,11 +141,13 @@ def _check_crossings(start: np.ndarray, end: np.ndarray, loop: np.ndarray, scale
                                         else "holes must not cross each other")
 
 
-def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
+def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, ...], float]:
     """One boundary loop, the outer polygon or a hole, validated: finite
     coordinates, at least 3 vertices, one fixed/free label per edge (all
     fixed for ``None``) and a non-degenerate area.  Returns the vertices
-    turned counterclockwise, with the edge labels remapped to match."""
+    turned counterclockwise, with the edge labels remapped to match, and
+    their area (taken again on the turned copy, so it is that copy's
+    shoelace bit for bit)."""
     pts = _as_points(vertices)
     if len(pts) < 3:
         raise DomainValidationError(f"a {what} needs at least 3 vertices")
@@ -206,7 +164,8 @@ def _checked_loop(vertices, labels, what: str) -> tuple[np.ndarray, tuple[str, .
         m = len(pts)
         pts = pts[::-1].copy()
         labels = [labels[(m - 2 - j) % m] for j in range(m)]
-    return pts, tuple(labels)
+        signed = _signed_area(pts)
+    return pts, tuple(labels), signed
 
 
 def _free_chain_rows(free: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -435,7 +394,7 @@ class LabeledDomain:
                  "_concavity")
 
     def __init__(self, vertices, labels, holes=(), hole_labels=None):
-        pts, labels = _checked_loop(vertices, labels, "polygon")
+        pts, labels, area = _checked_loop(vertices, labels, "polygon")
         holes = tuple(holes)
         hole_labels = (None,) * len(holes) if hole_labels is None else tuple(hole_labels)
         if len(hole_labels) != len(holes):
@@ -444,7 +403,8 @@ class LabeledDomain:
                 f"{len(hole_labels)} entries")
         hole_list, hole_label_list = [], []
         for hpts, hlabs in zip(holes, hole_labels):
-            h, hlabs = _checked_loop(hpts, hlabs, "hole")
+            h, hlabs, hole_area = _checked_loop(hpts, hlabs, "hole")
+            area -= hole_area
             hole_list.append(h)
             hole_label_list.append(hlabs)
         loops = (pts, *hole_list)
@@ -466,9 +426,6 @@ class LabeledDomain:
         self.labels = labels
         self.holes = tuple(hole_list)
         self.hole_labels = tuple(hole_label_list)
-        area = _signed_area(pts)
-        for h in hole_list:
-            area -= _signed_area(h)
         self.area = area
         self._concavity = None
 
@@ -1118,10 +1075,15 @@ def rasterize(domain: LabeledDomain, h: float) -> RasterGrid:
         raise DomainValidationError(
             f"grid too coarse: need at least 8 cells across, got h={h}"
         )
-    ox = math.floor(x0 / h) * h - h
-    oy = math.floor(y0 / h) * h - h
-    nx = int(math.ceil((x1 - ox) / h)) + 1
-    ny = int(math.ceil((y1 - oy) / h)) + 1
+    try:
+        ox = math.floor(x0 / h) * h - h
+        oy = math.floor(y0 / h) * h - h
+        nx = int(math.ceil((x1 - ox) / h)) + 1
+        ny = int(math.ceil((y1 - oy) / h)) + 1
+    except OverflowError:  # the box measured in cells is not even a finite float
+        nx = ny = math.inf
+    if nx * ny > np.iinfo(np.intp).max:
+        raise DomainValidationError(f"grid too fine: h={h} gives more cells than an index can count")
 
     xs = ox + (np.arange(nx) + 0.5) * h
     ys = oy + (np.arange(ny) + 0.5) * h

@@ -17,7 +17,6 @@ from freebdry.geometry import (
     FREE,
     LabeledDomain,
     _sampled_concavity,
-    _signed_area,
     is_concave_free_boundary,
     rasterize,
 )
@@ -28,6 +27,7 @@ from freebdry.rearrange import (
     radial_rearrangement,
     random_admissible_field,
 )
+from tests.test_cut_reference import reference_signed_area
 
 GENERATED = Path(__file__).parent / "data" / "random_concave_seed1.json"
 
@@ -151,11 +151,41 @@ def test_transformed_domain_gets_its_own_concavity_report():
     assert report.witness != is_concave_free_boundary(dom).witness
 
 
-@pytest.mark.parametrize("dom", [dom for dom, _ in _cases()])
+def _clockwise(loop, labels):
+    """A stored (counterclockwise) loop reversed, each edge keeping its
+    label."""
+    m = len(loop)
+    return loop[::-1], [labels[(m - 2 - j) % m] for j in range(m)]
+
+
+def _clockwise_domains():
+    """Domains given clockwise loops, which the constructor turns and
+    measures again: two outer loops, a hole, and an outer loop with its
+    hole."""
+    half = domains.half_disk()
+    generated = LabeledDomain.load_json(GENERATED)
+    annulus = domains.square_annulus(free_inner=True)
+    ang = np.linspace(0.0, 2.0 * math.pi, 41)[:-1]
+    radius = 0.5 + 0.1 * np.random.default_rng(12).random(ang.size)
+    ring = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
+    square = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    hole, hole_labels = _clockwise(annulus.holes[0], annulus.hole_labels[0])
+    return [
+        LabeledDomain(*_clockwise(half.vertices, half.labels)),
+        LabeledDomain(*_clockwise(generated.vertices, generated.labels)),
+        LabeledDomain(square, [FIXED] * 4, holes=[ring[::-1]]),
+        LabeledDomain(*_clockwise(annulus.vertices, annulus.labels), holes=[hole],
+                      hole_labels=[hole_labels]),
+    ]
+
+
+@pytest.mark.parametrize("dom", [dom for dom, _ in _cases()] + _clockwise_domains())
 def test_area_equals_direct_shoelace(dom):
-    direct = _signed_area(dom.vertices)
+    # measured on the stored loops, which are counterclockwise whatever the
+    # input's orientation
+    direct = reference_signed_area(dom.vertices)
     for hole in dom.holes:
-        direct -= _signed_area(hole)
+        direct -= reference_signed_area(hole)
     assert dom.area == direct
 
 

@@ -324,14 +324,19 @@ def test_malformed_domain_exits_2(tmp_path, capsys, text, spec):
 
 @pytest.mark.parametrize("argv", [
     ["--p", "2"], ["--n", "1"], ["--p", "nan"], ["--n", "3", "--p", "0.5"],
-], ids=["p-equals-n", "n-below-2", "p-nan", "p-below-1"])
+    # gamma(n) overflows at p = 1.5, gamma(1 + n/2) at p = 1
+    ["--n", "172"], ["--n", "342", "--p", "1"], ["--n", "2000", "--p", "1"],
+], ids=["p-equals-n", "n-below-2", "p-nan", "p-below-1",
+        "gamma-n-overflows", "gamma-half-n-overflows", "n-2000"])
 def test_bad_constants_argument_exits_2(capsys, argv):
     assert run_cli(["constants", *argv, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+# the last three give more cells than an index can count, and are refused
+# before any grid is allocated; 1e-310 is subnormal, so the box in cells is inf
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1", "1e-200", "1e-300", "1e-310"])
 @pytest.mark.parametrize("campaign", ["sobolev", "rearrange", "moser", "eig"])
 def test_bad_grid_spacing_exits_2(capsys, campaign, h):
     assert run_cli([campaign, "--h", h, "--quiet"]) == 2

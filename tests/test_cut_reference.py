@@ -9,11 +9,11 @@ n[0] + y * n[1] - offset``, elementwise.  The cut reads its areas off one
 exact table per cut instead of clipping, so an area agrees with the clip to
 1e-13 of the domain's area, not bit for bit; the bisection around it is the
 reference's, step for step, so the offsets must agree exactly (``==``):
-each symmetrize report depends on the offset's last bit.  The shoelace keeps
-every floating-point operation and its order, so its areas must agree
-exactly too.  The split reference stitches any number of kept components
-and chords; the two-crossing arc must give the same union, bit for bit, or
-the same error text.
+each symmetrize report depends on the offset's last bit.  The shoelace is
+the same numpy expression with ``_next`` in place of ``np.roll``, so its
+areas must agree exactly too.  The split reference stitches any number of
+kept components and chords; the two-crossing arc must give the same union,
+bit for bit, or the same error text.
 
 The generator reference is the one that preceded geometry's kernels: a
 pure-Python crossing search keyed by arc length, a convex inside test with
@@ -45,7 +45,6 @@ from freebdry.geometry import (
     _area_above,
     _area_table,
     _edge_lengths,
-    _float_sum,
     _points_in_polygon,
     _reflected_half,
     _signed_area,
@@ -448,27 +447,6 @@ def test_signed_area_matches_roll_shoelace_near_degenerate():
         assert _signed_area(pts[::-1]) == reference_signed_area(pts[::-1])
     sliver = np.array([[0.0, 0.0], [1.0, 1e-17], [2.0, 0.0], [1.0, -1e-17]])
     assert _signed_area(sliver) == reference_signed_area(sliver)
-
-
-def test_float_sum_is_numpy_sum():
-    # the shoelace sums its float list as np.sum sums an array; if numpy's
-    # summation order changes, this fails before any report does.  Bits are
-    # compared, so that the sign of a zero counts too
-    def bits(x):
-        return np.float64(x).tobytes()
-
-    rng = np.random.default_rng(5)
-    for n in [*range(1, 301), 1000, 2100]:
-        signs = rng.choice([-1.0, 1.0], size=n)
-        cases = [rng.normal(size=n),
-                 signs * 10.0 ** rng.uniform(-8.0, 8.0, size=n),  # mixed magnitudes
-                 np.full(n, -0.0),
-                 rng.choice([0.0, -0.0], size=n),
-                 np.where(rng.random(n) < 0.5, -0.0, signs * rng.uniform(1e-8, 1e8, size=n))]
-        if n % 2 == 0:  # pairs that cancel to +0.0 exactly
-            cases.append(np.repeat(signs[: n // 2], 2) * np.tile([1.0, -1.0], n // 2))
-        for terms in cases:
-            assert bits(_float_sum(terms.tolist())) == bits(float(np.sum(terms))), n
 
 
 # -- random-domain generator ---------------------------------------------------

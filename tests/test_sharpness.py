@@ -1,0 +1,70 @@
+"""Every verdict can fail: sharpness controls.
+
+The paper's constants are sharp, and each campaign's default input sits
+close to its bound: the half disk's isoperimetric ratio is the bound to
+1e-4, its principal frequency is 5.6e-4 below the reference, and the
+Sobolev bubble ladder at epsilon = 0.05 is 2% above the bound.  Each test
+scales the bound a campaign reads, at the module name it calls, just past
+that gap plus the campaign's slack, and requires exit 4 with the failure
+entry that names the input; a smaller scale, inside the slack, must still
+exit 0.  No tolerance is changed.
+"""
+
+import json
+
+import pytest
+
+from freebdry import constants, spectral
+from freebdry.cli import EXIT_INEQUALITY, EXIT_OK, main
+
+
+def _report(tmp_path, argv):
+    out = tmp_path / "report.json"
+    code = main([*argv, "--quiet", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("scale, code", [(1.02, EXIT_INEQUALITY), (1.005, EXIT_OK)])
+def test_isoperim_fails_a_raised_constant(tmp_path, monkeypatch, scale, code):
+    def raised(n):
+        iso_std, iso_free = constants.isoperimetric_constants(n)
+        return iso_std, iso_free * scale
+
+    monkeypatch.setattr("freebdry.geometry.isoperimetric_constants", raised)
+    got, report = _report(tmp_path, ["isoperim"])
+    assert got == code
+    if code == EXIT_INEQUALITY:
+        assert report["failures"] == [{"index": 0, "margin": report["reports"][0]["margin"]}]
+        assert report["reports"][0]["bound"] == constants.isoperimetric_constants(2)[1] * scale
+    else:
+        assert report["failures"] == []
+
+
+@pytest.mark.parametrize("scale, code", [(1.03, EXIT_INEQUALITY), (1.01, EXIT_OK)])
+def test_eig_fails_a_raised_reference(tmp_path, monkeypatch, scale, code):
+    reference = spectral.half_ball_reference
+    monkeypatch.setattr("freebdry.spectral.half_ball_reference",
+                        lambda volume: reference(volume) * scale)
+    got, report = _report(tmp_path, ["eig"])
+    assert got == code
+    if code == EXIT_INEQUALITY:
+        assert report["failures"] == [{"margin": report["report"]["margin"]}]
+        assert report["report"]["margin"] < 0.0
+    else:
+        assert report["failures"] == []
+
+
+@pytest.mark.parametrize("scale, code", [(1.06, EXIT_INEQUALITY), (1.03, EXIT_OK)])
+def test_sobolev_fails_a_raised_bound(tmp_path, monkeypatch, scale, code):
+    # the bound is 1 / (sqrt(2) k(2, p)), so dividing k raises it by scale
+    best = constants.sobolev_best_constant
+    monkeypatch.setattr("freebdry.quotients.sobolev_best_constant",
+                        lambda n, p: best(n, p) / scale)
+    got, report = _report(tmp_path, ["sobolev"])
+    assert got == code
+    if code == EXIT_INEQUALITY:
+        [failure] = report["failures"]
+        rung = report["bubble_ladder"][-1]
+        assert failure == {"epsilon": 0.05, "quotient": rung["quotient"], "bound": rung["bound"]}
+    else:
+        assert report["failures"] == []
