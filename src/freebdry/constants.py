@@ -86,11 +86,16 @@ def sobolev_best_constant(n: int, p: float) -> float:
         * gamma_fn(float(n))
         / (gamma_fn(n / p) * gamma_fn(1.0 + n - n / p))
     )
+    if math.isfinite(block):
+        middle = block ** (1.0 / n)
+    else:  # gamma(1+n/2) gamma(n) overflows a float from about n = 130 on
+        middle = math.exp((math.lgamma(1.0 + 0.5 * n) + math.lgamma(n)
+                           - math.lgamma(n / p) - math.lgamma(1.0 + n - n / p)) / n)
     return (
         math.pi ** -0.5
         * n ** (-1.0 / p)
         * ratio ** (1.0 - 1.0 / p)
-        * block ** (1.0 / n)
+        * middle
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -734,43 +735,28 @@ def _area_table(domain: LabeledDomain, line: CutLine) -> tuple[list, list, list]
     return s, A, c
 
 
-def _area_above(table: tuple[list, list, list], offset: float) -> float:
-    """The area above ``offset`` read off an :func:`_area_table`: the
-    quadratic through the values at the ends of the offset's bracket, with
-    the bracket's second derivative."""
-    s, A, c = table
-    j = bisect_right(s, offset, 1, len(s) - 1) - 1
-    x, L = offset - s[j], s[j + 1] - s[j]
-    return A[j] + (A[j + 1] - A[j]) * x / L + 0.5 * c[j] * x * (x - L)
-
-
 def equal_volume_cut(domain: LabeledDomain, theta: float) -> CutLine:
     """Offset of the line at angle ``theta`` splitting the domain into two
-    equal areas, found by bisection on the monotone area split function.
+    equal areas, in closed form.
 
-    The area above every offset is read off one exact table per cut,
+    The area above each offset is read off one exact table per cut,
     :func:`_area_table`, built on the vertex projections onto the returned
-    line's normal (that of ``theta`` mod pi); a bisection step looks up its
-    bracket and evaluates one quadratic, with no numpy call.  The returned
-    cut satisfies |A_above - A_below| <= 1e-9 * area.
+    line's normal (that of ``theta`` mod pi).  That area falls from the
+    domain's area to 0, so half of it is reached in the bracket whose
+    left end is the last breakpoint with at least half the area above; the
+    offset is the root of that bracket's quadratic, in the form that does
+    not cancel, clipped to the bracket.  The returned cut satisfies
+    |A_above - A_below| <= 1e-13 * area.
     """
-    table = _area_table(domain, CutLine(theta, 0.0))
-    lo, hi = table[0][0], table[0][-1]
-    A = domain.area
-    target = 0.5 * A
-    # area above is A at offset lo and 0 at offset hi, decreasing in between
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = _area_above(table, mid) - target
-        if abs(fmid) <= 2.5e-10 * A:
-            return CutLine(angle=theta, offset=mid)
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0e-17 * max(abs(hi), abs(lo), 1.0):
-            break
-    return CutLine(angle=theta, offset=0.5 * (lo + hi))
+    s, above, c = _area_table(domain, CutLine(theta, 0.0))
+    target = 0.5 * domain.area
+    j = min(max(bisect_right(above, -target, key=operator.neg) - 1, 0), len(s) - 2)
+    # above s[j] + x: above[j] + b x + a x^2, falling through target
+    L, D, a = s[j + 1] - s[j], above[j] - target, 0.5 * c[j]
+    b = (above[j + 1] - above[j]) / L - a * L
+    # -b + sqrt(.) is the chord at s[j] plus the one at the cut: positive
+    x = 2.0 * D / (-b + math.sqrt(max(b * b - 4.0 * a * D, 0.0)))
+    return CutLine(angle=theta, offset=s[j] + min(max(x, 0.0), L))
 
 
 # -- the kept half of a cut polygon and its mirror image -----------------------

@@ -600,19 +600,25 @@ def check_profile_energy_bound(field: ScalarField, p: float,
     return lhs, rhs
 
 
+def energy_factor(p: float) -> float:
+    """The sharp factor 2^{p/2} of the rearranged-gradient bound."""
+    return 2.0 ** (0.5 * p)
+
+
 def check_rearrangement_energy_factor(field: ScalarField, p: float) -> tuple[float, float]:
     """Both sides of the rearranged-gradient bound
 
         int |grad u*|^p  <=  2^{p/2} int |grad u|^p
 
     for fields vanishing on the fixed boundary of a domain whose free chain
-    is concave.  Returns (left integral, right-hand bound).
+    is concave, with the factor of :func:`energy_factor`.  Returns (left
+    integral, right-hand bound).
     """
     if not 1.0 < p < math.inf:
         raise PreconditionError("the energy factor bound needs a finite p > 1")
     require_admissible(field.grid.domain, field)
     lhs = gradient_lp_norm(field.radial, p) ** p
-    rhs = 2.0 ** (0.5 * p) * gradient_lp_norm(field, p) ** p
+    rhs = energy_factor(p) * gradient_lp_norm(field, p) ** p
     return lhs, rhs
 
 

@@ -36,6 +36,15 @@ def test_constants_values(tmp_path, capsys):
     assert row["iso_free"] == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
+def test_constants_large_dimension_is_finite(tmp_path):
+    # gamma(1 + n/2) gamma(n) overflows a float at n = 150
+    out = tmp_path / "c.json"
+    assert run_cli(["constants", "--n", "150", "--p", "1.5", "--quiet", "--out", str(out)]) == 0
+    assert "Infinity" not in out.read_text()
+    row = json.loads(out.read_text())["values"][0]
+    assert row["sobolev"] == pytest.approx(0.0297345230601289, rel=1e-12)
+
+
 def test_isoperim_halfdisk(tmp_path):
     out = tmp_path / "iso.json"
     code = run_cli(["isoperim", "--domain", "halfdisk", "--quiet", "--out", str(out)])
@@ -211,11 +220,10 @@ _ISOPERIM_GOLDEN = ("isoperim_random50_seed3.json", ["isoperim", "--random", "50
     _SYMMETRIZE_GENERATED_GOLDEN,
 ])
 def test_polygon_report_matches_golden(tmp_path, name, argv):
-    # symmetrize reports of the numpy-scalar equal-area cut that preceded
-    # the float-list loops, since with their side-of-line tests elementwise
-    # and the generated one made with the numpy shoelace, and the isoperim
-    # report of the generator built on geometry's kernels; the same
-    # arithmetic must reproduce them byte for byte
+    # symmetrize reports of the equal-area cut by one bracket's quadratic
+    # root, with elementwise side-of-line tests and the numpy shoelace, and
+    # the isoperim report of the generator built on geometry's kernels; the
+    # same arithmetic must reproduce them byte for byte
     golden = Path(__file__).parent / "data" / name
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--quiet", "--out", str(out)]) == 0

@@ -97,6 +97,27 @@ def test_sobolev_constant_continuity_at_p1():
     assert diffs[0] > diffs[1] > diffs[2]
 
 
+def _sobolev_constant_by_lgamma(n, p):
+    log_k = (
+        -0.5 * math.log(math.pi)
+        - math.log(n) / p
+        + (1.0 - 1.0 / p) * math.log((p - 1.0) / (n - p))
+        + (math.lgamma(1.0 + 0.5 * n) + math.lgamma(n)
+           - math.lgamma(n / p) - math.lgamma(1.0 + n - n / p)) / n
+    )
+    return math.exp(log_k)
+
+
+@pytest.mark.parametrize("n", [130, 150, 171])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_sobolev_constant_finite_where_the_gamma_product_overflows(n, p):
+    # gamma(1 + n/2) gamma(n) overflows a float here, though gamma(n) does not
+    assert not math.isfinite(gamma_fn(1.0 + 0.5 * n) * gamma_fn(n))
+    k = sobolev_best_constant(n, p)
+    assert math.isfinite(k)
+    assert k == pytest.approx(_sobolev_constant_by_lgamma(n, p), rel=1e-12)
+
+
 def test_sobolev_constant_domain_errors():
     for n, p in ((2, 2.0), (2, 0.5), (3, 3.5)):
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ bisection step, the bisection on it, and an ``np.roll`` shoelace.  Each
 side-of-line test is written as the cut line's kernel computes it, ``x *
 n[0] + y * n[1] - offset``, elementwise.  The cut reads its areas off one
 exact table per cut instead of clipping, so an area agrees with the clip to
-1e-13 of the domain's area, not bit for bit; the bisection around it is the
-reference's, step for step, so the offsets must agree exactly (``==``):
-each symmetrize report depends on the offset's last bit.  The shoelace is
+1e-13 of the domain's area, not bit for bit.  The cut's offset is the root
+of one bracket's quadratic in that table, not a bisection, so it must halve
+the clipped area to 1e-13 of the domain's area and lie within 1e-9 of the
+domain's diameter of the bisection's offset, which stops at 2.5e-10 of the
+area.  ``_area_above`` reads the table at any offset.  The shoelace is
 the same numpy expression with ``_next`` in place of ``np.roll``, so its
 areas must agree exactly too.  The split reference stitches any number of
 kept components and chords; the two-crossing arc must give the same union,
@@ -28,6 +30,7 @@ for bit with the per-edge loop.
 
 import math
 import warnings
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -42,7 +45,6 @@ from freebdry.geometry import (
     GOLDEN_ANGLE,
     CutLine,
     LabeledDomain,
-    _area_above,
     _area_table,
     _edge_lengths,
     _points_in_polygon,
@@ -88,6 +90,16 @@ def reference_area_above(domain, normal, offset):
     for h in domain.holes:
         a -= reference_clipped_area_above(h, normal, offset)
     return a
+
+
+def _area_above(table, offset):
+    """The area above ``offset`` read off an :func:`_area_table`: the
+    quadratic through the values at the ends of the offset's bracket, with
+    the bracket's second derivative."""
+    s, A, c = table
+    j = bisect_right(s, offset, 1, len(s) - 1) - 1
+    x, L = offset - s[j], s[j + 1] - s[j]
+    return A[j] + (A[j + 1] - A[j]) * x / L + 0.5 * c[j] * x * (x - L)
 
 
 def reference_cut_offset(domain, theta):
@@ -157,7 +169,10 @@ def reference_point_in_convex(poly, p):
 
 def assert_cuts_match(domain, thetas):
     for theta in thetas:
-        assert equal_volume_cut(domain, theta).offset == reference_cut_offset(domain, theta)
+        cut = equal_volume_cut(domain, theta)
+        above = reference_area_above(domain, cut.normal, cut.offset)
+        assert abs(above - 0.5 * domain.area) <= 1e-13 * domain.area
+        assert abs(cut.offset - reference_cut_offset(domain, theta)) <= 1e-9 * domain.diameter
 
 
 # -- equal-area cut ------------------------------------------------------------
@@ -178,8 +193,9 @@ def test_cut_matches_reference_on_annulus():
 
 
 def test_cut_matches_reference_through_a_vertex():
-    # at pi/2 the first bisection offset puts the line through the L-shape's
-    # vertices (1, 1) and (1, 2); the square's cuts start on its diagonal
+    # at pi/2 the reference's first bisection offset puts the line through
+    # the L-shape's vertices (1, 1) and (1, 2); the square's cuts start on
+    # its diagonal
     dom = domains.l_shape()
     assert_cuts_match(dom, [math.pi / 2.0, 0.0, math.pi / 4.0])
     square = domains.unit_square()

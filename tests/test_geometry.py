@@ -415,17 +415,17 @@ def test_equal_cut_halves_balance_randomized():
         theta = rng.uniform(0.0, math.pi)
         cut = equal_volume_cut(dom, theta)
         above = areas_above(dom, cut.angle, [cut.offset])[0]
-        assert abs(above - dom.area / 2.0) <= 1e-9 * dom.area
+        assert abs(above - dom.area / 2.0) <= 1e-13 * dom.area
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.5, 0.5 + math.pi, 2.0])
 def test_equal_cut_halves_the_area_above_the_returned_line(theta):
-    # the returned line's angle is theta mod pi; the bisection must use its
+    # the returned line's angle is theta mod pi; the cut must use its
     # normal, not the one of the raw theta, which points the other way
     dom = domains.builtin_domain("trapezoid")
     cut = equal_volume_cut(dom, theta)
     above = areas_above(dom, cut.angle, [cut.offset])[0]
-    assert abs(above - dom.area / 2.0) <= 1e-9 * dom.area
+    assert abs(above - dom.area / 2.0) <= 1e-13 * dom.area
 
 
 # -- symmetrization step -------------------------------------------------------------

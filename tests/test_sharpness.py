@@ -7,15 +7,19 @@ Sobolev bubble ladder at epsilon = 0.05 is 2% above the bound.  Each test
 scales the bound a campaign reads, at the module name it calls, just past
 that gap plus the campaign's slack, and requires exit 4 with the failure
 entry that names the input; a smaller scale, inside the slack, must still
-exit 0.  No tolerance is changed.
+exit 0.  The energy factor is checked at the API, on a Talenti bubble
+centred on the half disk's free diameter, an equality case at 0.9995 of its
+bound.  No tolerance is changed.
 """
 
 import json
 
 import pytest
 
-from freebdry import constants, spectral
-from freebdry.cli import EXIT_INEQUALITY, EXIT_OK, main
+from freebdry import constants, rearrange, spectral
+from freebdry.cli import EXIT_INEQUALITY, EXIT_OK, GRID_SLACK, main
+from freebdry.domains import half_disk
+from freebdry.quotients import talenti_bubble
 
 
 def _report(tmp_path, argv):
@@ -68,3 +72,14 @@ def test_sobolev_fails_a_raised_bound(tmp_path, monkeypatch, scale, code):
         assert failure == {"epsilon": 0.05, "quotient": rung["quotient"], "bound": rung["bound"]}
     else:
         assert report["failures"] == []
+
+
+@pytest.mark.parametrize("scale, ok", [(1.03, False), (1.01, True)])
+def test_energy_factor_fails_a_lowered_factor(monkeypatch, scale, ok):
+    # lhs / rhs is 0.99948 on this bubble; rearrange passes lhs <= rhs (1 + slack)
+    factor = rearrange.energy_factor
+    monkeypatch.setattr("freebdry.rearrange.energy_factor", lambda p: factor(p) / scale)
+    bubble = talenti_bubble(half_disk(), 1.0 / 64.0, 1.5, 0.2)
+    lhs, rhs = rearrange.check_rearrangement_energy_factor(bubble, 1.5)
+    assert rhs == factor(1.5) / scale * rearrange.gradient_lp_norm(bubble, 1.5) ** 1.5
+    assert (lhs <= rhs * (1.0 + GRID_SLACK)) == ok
