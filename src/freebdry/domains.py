@@ -8,6 +8,7 @@ generated programmatically from these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -123,15 +124,16 @@ def _random_convex_polygon(rng: np.random.Generator, n_points: int) -> np.ndarra
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    # the monotone chain on Python floats: the same IEEE operations as on
+    # numpy scalars, without their per-operation overhead
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
 
     def half(seq):
         out = []
         for p in seq:
             while len(out) >= 2:
-                u = out[-1] - out[-2]
-                v = p - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
+                (x0, y0), (x1, y1) = out[-2], out[-1]
+                if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:
                     break
                 out.pop()
             out.append(p)
@@ -224,7 +226,7 @@ def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
     for _ in range(60):
         mode = rng.uniform()
         if mode < 0.18:
-            dom = half_disk(radius=1.0, segments=_RANDOM_SEGMENTS)
+            dom = _random_half_disk()
         elif mode < 0.45:
             dom = _random_chord_cap(rng)
         else:
@@ -239,6 +241,13 @@ def random_concave_domain(rng: np.random.Generator) -> LabeledDomain:
         except DomainValidationError:
             continue
     raise RuntimeError("random domain generation failed repeatedly")
+
+
+@functools.cache
+def _random_half_disk() -> LabeledDomain:
+    """The generator's half disk, built once: a domain is immutable, and
+    ``transformed`` returns a new one."""
+    return half_disk(radius=1.0, segments=_RANDOM_SEGMENTS)
 
 
 def _random_chord_cap(rng: np.random.Generator) -> LabeledDomain | None:

@@ -496,16 +496,22 @@ class LabeledDomain:
     def free_chain_points(self, n: int) -> np.ndarray:
         """``n`` points spread uniformly in arc length over the free chain,
         in chain order."""
+        return self._chain_samples(n)[0]
+
+    def _chain_samples(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The points of :meth:`free_chain_points` and, for each, the row of
+        the free-chain table of the edge it lies on (a point at a chain
+        vertex lies on both edges there, and is given one of them)."""
         chain = self._free_chain
         if not len(chain):
-            return np.empty((0, 2))
+            return np.empty((0, 2)), np.empty(0, dtype=np.intp)
         a, b, lens = self._edges.start[chain], self._edges.end[chain], self._edges.length[chain]
         cum = np.concatenate([[0.0], np.cumsum(lens)])
         s = np.linspace(0.0, cum[-1], n)
         idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
         # a zero-length edge gives its start point
         t = np.divide(s - cum[idx], lens[idx], out=np.zeros(n), where=lens[idx] > 0.0)
-        return a[idx] + np.clip(t, 0.0, 1.0)[:, None] * (b - a)[idx]
+        return a[idx] + np.clip(t, 0.0, 1.0)[:, None] * (b - a)[idx], idx
 
     # -- transforms ----------------------------------------------------------------
 
@@ -602,6 +608,10 @@ class SymmetrizationResult:
 # ---------------------------------------------------------------------------
 
 _CONCAVITY_SAMPLES = 64
+# the sample pairs (i < j) of the concavity probes, in probe order
+_CONCAVITY_PAIRS = np.triu_indices(_CONCAVITY_SAMPLES, k=1)
+for _rows in _CONCAVITY_PAIRS:
+    _rows.setflags(write=False)
 
 
 def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
@@ -611,6 +621,8 @@ def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     The free chain is sampled at 64 arc-length-uniform points in chain
     order, so the samples do not depend on which vertex is 0; for each
     point pair the chord is probed at its midpoint and quarter points.  A
+    chord between two samples on one free edge runs along that edge and is
+    not probed, so a straight free chain is concave with no probe.  A
     probe counts as interior only if it lies inside the domain with positive
     clearance from the boundary, so chords running along a straight free
     edge do not produce false negatives.  The clearance is measured to the
@@ -649,11 +661,17 @@ def require_admissible(domain: LabeledDomain, field=None) -> ConcavityReport:
 
 
 def _sampled_concavity(domain: LabeledDomain) -> ConcavityReport:
-    pts = domain.free_chain_points(_CONCAVITY_SAMPLES)
+    pts, edge = domain._chain_samples(_CONCAVITY_SAMPLES)
     if len(pts) == 0:
         return ConcavityReport(concave=True, vacuous=True)
     tol = 1e-9 * max(domain.diameter, 1e-30)
-    ii, jj = np.triu_indices(len(pts), k=1)
+    # a chord between two samples on one free edge runs along that edge, so
+    # its probes lie on it up to rounding, far inside tol: none is probed
+    ii, jj = _CONCAVITY_PAIRS
+    keep = edge[ii] != edge[jj]
+    ii, jj = ii[keep], jj[keep]
+    if not ii.size:
+        return ConcavityReport(concave=True)
     a, b = pts[ii], pts[jj]
     probes = np.concatenate([a + f * (b - a) for f in (0.25, 0.5, 0.75)])
     # the inside probes, then those clear of the free edges, then those
