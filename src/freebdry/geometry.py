@@ -115,6 +115,10 @@ def _segments_cross(a, b, c, d, eps: float) -> np.ndarray:
 # edge pairs tested together by _check_crossings, and point-edge pairs
 # measured together by _nearest_segment; bounds their working sets
 _EDGE_PAIR_BLOCK = 1 << 14
+# _nearest_segment tiles its points only when they fill more than this many
+# blocks and there are at least this many edges: below either, sorting the
+# points and bounding the tiles costs more than the edges they drop save
+_TILE_MIN_BLOCKS, _TILE_MIN_EDGES = 6, 16
 
 
 def _check_crossings(start: np.ndarray, end: np.ndarray, loop: np.ndarray, scale: float) -> None:
@@ -252,72 +256,175 @@ def _grid_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: np.ndarray) -> np.nda
     return (np.cumsum(marks.reshape(ny, nx + 1)[:, :nx], axis=1) & 1).astype(bool)
 
 
+def _segment_offsets(px: np.ndarray, py: np.ndarray, seg: np.ndarray,
+                     qx: np.ndarray, qy: np.ndarray, t: np.ndarray) -> None:
+    """Fill ``qx`` and ``qy`` (K, P) with the offsets from the points
+    (px[i], py[i]) to their nearest points on the segments of ``seg`` =
+    (ax, ay, abx, aby, denom), each (K, 1); ``t`` is scratch."""
+    ax, ay, abx, aby, denom = seg
+    np.subtract(px, ax, out=qx)
+    np.subtract(py, ay, out=qy)
+    np.multiply(qx, abx, out=t)
+    t += np.multiply(qy, aby, out=qy)
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    # the projection a + t * ab, then the offset to it
+    np.subtract(px, np.add(ax, np.multiply(t, abx, out=qx), out=qx), out=qx)
+    np.subtract(py, np.add(ay, np.multiply(t, aby, out=qy), out=qy), out=qy)
+
+
+def _nearest_in_block(px: np.ndarray, py: np.ndarray, seg: np.ndarray,
+                      bufs: np.ndarray, near_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`_nearest_segment`: the (K, P) distances from the
+    points (px[i], py[i]) to the segments of ``seg``, laid out in the flat
+    scratch ``bufs`` (4, at least K * P) and ``near_buf``.  Returns each
+    point's smallest distance and the first row that attains it."""
+    shape = (len(seg[0]), len(px))
+    qx, qy, t, d = bufs[:, :shape[0] * shape[1]].reshape(4, *shape)
+    near = near_buf[:shape[0] * shape[1]].reshape(shape)
+    _segment_offsets(px, py, seg, qx, qy, t)
+    s = np.multiply(qx, qx, out=t)
+    s += np.multiply(qy, qy, out=d)
+    cut = s.min(axis=0)
+    cut *= 1.0 + 1e-12
+    cut += 1e-300
+    # not "s <= cut": a NaN comparison is false, and must leave a pair near
+    np.logical_not(np.greater(s, cut, out=near), out=near)
+    d.fill(np.inf)
+    np.hypot(qx, qy, out=d, where=near)
+    return d.min(axis=0), d.argmin(axis=0)
+
+
+def _tiles(points: np.ndarray, starts: np.ndarray, ends: np.ndarray, seg: np.ndarray,
+           rows: int) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """The blocks of :func:`_nearest_segment`, each a selection of the
+    points and the edges it measures them against, ascending."""
+    n, m = len(points), len(starts)
+    every = np.arange(m)
+    untiled = [(slice(p0, p0 + rows), every) for p0 in range(0, n, rows)]
+    if n <= _TILE_MIN_BLOCKS * rows or m < _TILE_MIN_EDGES:
+        return untiled
+    x, y = points[:, 0], points[:, 1]
+    x_lo, x_hi, y_lo, y_hi = x.min(), x.max(), y.min(), y.max()
+    e_lo, e_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    scale = float(np.abs([x_lo, x_hi, y_lo, y_hi, e_lo.min(), e_hi.max()]).max())
+    if not math.isfinite(scale):
+        return untiled
+    # square buckets holding about `rows` points where the points fill their
+    # box, in stable key order; a bucket index is at most n a side
+    w, h = x_hi - x_lo, y_hi - y_lo
+    side = math.sqrt(w * h * rows / n) or max(w, h) * rows / n or 1.0
+    key = np.fmin((y - y_lo) / side, n).astype(np.intp) * (n + 1)
+    key += np.fmin((x - x_lo) / side, n).astype(np.intp)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist()
+    del key
+    boxes = []  # x0, x1, y0, y1 of each bucket, one coordinate gathered at a time
+    for c in (x, y):
+        c = c[order]
+        boxes += [np.minimum.reduceat(c, first), np.maximum.reduceat(c, first)]
+    x0, x1, y0, y1 = boxes
+    # lb: the gap between a bucket's box and an edge's
+    lb = np.hypot(np.maximum(np.maximum(e_lo[:, 0] - x1[:, None], x0[:, None] - e_hi[:, 0]), 0.0),
+                  np.maximum(np.maximum(e_lo[:, 1] - y1[:, None], y0[:, None] - e_hi[:, 1]), 0.0))
+    # ub: over the edges, the least distance of the box corner farthest away
+    b = len(first)
+    qx, qy, s = np.empty((3, m, 4 * b))
+    _segment_offsets(np.concatenate([x0, x1, x0, x1]), np.concatenate([y0, y0, y1, y1]),
+                     seg, qx, qy, s)
+    s = np.multiply(qx, qx, out=s)
+    s += np.multiply(qy, qy, out=qx)
+    ub = np.sqrt(s.reshape(m, 4, b).max(axis=1).min(axis=0))
+    ub += 1e-12 * scale + 1e-150 if scale < 1e153 else math.inf
+    blocks = []
+    for b0, b1, row in zip(first, [*first[1:], n], ~(lb > ub[:, None])):
+        # the fewest pieces, of equal size give or take one, that fit the
+        # scratch block of rows * m pairs with the kept edges
+        e = every[row]
+        k = -(-(b1 - b0) // (rows * m // len(e)))
+        cuts = [b0 + j * (b1 - b0) // k for j in range(k + 1)]
+        blocks += [(order[c0:c1], e) for c0, c1 in zip(cuts, cuts[1:])]
+    return blocks
+
+
 def _nearest_segment(points: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``points`` (N, 2), the distance to the nearest of the
     segments ``starts[k]`` -> ``ends[k]`` (M, 2) and that segment's index,
-    the first one on a tie: the row minimum and argmin of the (N, M)
-    distance matrix, measured in blocks of about ``_EDGE_PAIR_BLOCK`` pairs.
-    With no segment the distance is inf and the index 0.
+    the first one on a tie: the row minimum and first argmin of the (N, M)
+    distance matrix.  With no segment the distance is inf and the index 0.
 
-    Each distance is elementwise arithmetic on its own point and segment,
-    with no BLAS reduction, so its bits do not depend on the CPU's BLAS
-    kernel nor on which other points share its block.  A zero-length
-    segment gives the distance to its endpoint.
+    The pairs are measured in blocks of at most ``_EDGE_PAIR_BLOCK`` (one
+    point a block when a point has more edges), each laid out edges by
+    points, the points along the contiguous axis, so a block's minimum and
+    first argmin are reductions over axis 0.  Each distance is elementwise
+    arithmetic on its own point and segment, with no BLAS reduction, so its
+    bits do not depend on the CPU's BLAS kernel nor on which other points
+    share its block.  A zero-length segment gives the distance to its
+    endpoint.
+
+    Tiles.  When the points fill more than ``_TILE_MIN_BLOCKS`` blocks,
+    there are at least ``_TILE_MIN_EDGES`` edges and every coordinate is
+    finite, the points are grouped by the square buckets of a uniform grid
+    over their bounding box, in stable key order, and each bucket is
+    measured only against the edges that can be nearest to one of its
+    points.  For a bucket and an edge, the lower bound ``lb`` is the gap
+    between the bucket's bounding box and the edge's; the bucket's upper
+    bound ``ub`` is, over all edges, the least distance of the box corner
+    farthest from the edge.  Distance to a segment is convex, so its largest
+    value over the box is at a corner, and every point of the bucket lies
+    within ``ub`` of some edge.  An edge is dropped only when
+    ``lb > ub + 1e-12 * scale + 1e-150``, ``scale`` being the largest
+    |coordinate| of the points and edge ends.  Every computed distance is
+    within a few ulp of ``scale`` of the exact one, and so are the bounds;
+    where |ab|^2 is subnormal the projection can be off by up to |ab|
+    < 1.5e-154, which the absolute term covers.  So a dropped edge's
+    computed distance exceeds the point's computed minimum, and the kept
+    edges, measured in ascending order by the same arithmetic, give the
+    same minimum and first index.  At ``scale`` >= 1e153 the products of
+    offsets can overflow, giving an inf or NaN distance no bound predicts,
+    so no edge is dropped; a NaN bound keeps every edge too, as it never
+    compares greater.  Each bucket is cut into the fewest pieces that fit a
+    block with its kept edges.  Below those sizes, sorting the points and
+    bounding the buckets costs more than the dropped edges save, and the
+    points are measured in input order against every edge.
 
     ``np.hypot`` costs about 60 times what a product does an element (25 ns
     against 0.4 ns on a 2-vCPU x86-64 machine), so it is taken only on
     the pairs whose squared distance ``s = qx*qx + qy*qy`` is within a
-    relative 1e-12 (plus an absolute 1e-300) of the row's smallest; the
-    other pairs stay inf.  That leaves the minimum and its first index
+    relative 1e-12 (plus an absolute 1e-300) of the block row's smallest;
+    the other pairs stay inf.  That leaves the minimum and its first index
     exact: ``s`` and ``hypot`` are each within a few ulp of the true value
     for the same offset (qx, qy), so every pair whose ``hypot`` equals the
     row's smallest has an ``s`` within about 1.3e-15 relative of the row's
     smallest ``s``; the absolute term covers squares that underflow to
-    subnormals or zero.  A row holding NaN has a NaN minimum and one whose
-    squares all overflow an inf one; neither compares greater, so every
-    pair of such a row is measured, as with no screen.
+    subnormals or zero.  A dropped edge can only raise a row's smallest
+    ``s``, which keeps every such pair near.  A row holding NaN has a NaN
+    minimum and one whose squares all overflow an inf one; neither compares
+    greater, so every pair of such a row is measured, as with no screen.
     """
     n, m = len(points), len(starts)
-    dist, index = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
     if not n or not m:
-        return dist, index
-    ax, ay = starts[:, 0], starts[:, 1]
-    abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
-    denom = abx * abx + aby * aby
-    denom[denom == 0.0] = 1.0  # the projection parameter is then 0 / 1
+        return np.full(n, np.inf), np.zeros(n, dtype=np.intp)
     rows = max(1, _EDGE_PAIR_BLOCK // m)
-    px, py = points[:, 0:1], points[:, 1:2]
-    # scratch blocks reused by every block of rows: fresh arrays this size
-    # would be page-faulted in anew each time
-    bufs = np.empty((4, min(rows, n), m))
-    near_buf = np.empty((min(rows, n), m), dtype=bool)
-    for r0 in range(0, n, rows):
-        bx, by = px[r0:r0 + rows], py[r0:r0 + rows]
-        qx, qy, t, d = bufs[:, :len(bx)]
-        near = near_buf[:len(bx)]
-        np.subtract(bx, ax, out=qx)
-        np.subtract(by, ay, out=qy)
-        np.multiply(qx, abx, out=t)
-        t += np.multiply(qy, aby, out=qy)
-        t /= denom
-        np.clip(t, 0.0, 1.0, out=t)
-        # the projection a + t * ab, then the offset to it
-        np.subtract(bx, np.add(ax, np.multiply(t, abx, out=qx), out=qx), out=qx)
-        np.subtract(by, np.add(ay, np.multiply(t, aby, out=qy), out=qy), out=qy)
-        with np.errstate(over="ignore"):  # a square that overflows only screens
-            s = np.multiply(qx, qx, out=t)
-            s += np.multiply(qy, qy, out=d)
-            cut = s.min(axis=1, keepdims=True)
-            cut *= 1.0 + 1e-12
-        cut += 1e-300
-        # not "s <= cut": a NaN comparison is false, and must leave a pair near
-        np.logical_not(np.greater(s, cut, out=near), out=near)
-        d.fill(np.inf)
-        np.hypot(qx, qy, out=d, where=near)
-        k = d.argmin(axis=1)
-        index[r0:r0 + rows] = k
-        dist[r0:r0 + rows] = d[np.arange(len(k)), k]
+    # an overflow only screens, or gives the inf or NaN distance that the
+    # per-pair arithmetic gives anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax, ay = starts[:, 0], starts[:, 1]
+        abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
+        denom = abx * abx + aby * aby
+        denom[denom == 0.0] = 1.0  # the projection parameter is then 0 / 1
+        seg = np.stack([ax, ay, abx, aby, denom])
+        blocks = _tiles(points, starts, ends, seg[:, :, None], rows)
+        # scratch blocks reused by every block: fresh arrays this size would
+        # be page-faulted in anew each time
+        bufs = np.empty((4, min(rows, n) * m))
+        near_buf = np.empty(min(rows, n) * m, dtype=bool)
+        dist, index = np.empty(n), np.empty(n, dtype=np.intp)
+        for sel, e in blocks:
+            dist[sel], k = _nearest_in_block(points[sel, 0], points[sel, 1], seg[:, e, None],
+                                             bufs, near_buf)
+            index[sel] = e[k]
     return dist, index
 
 
@@ -992,12 +1099,13 @@ class RasterGrid:
     A grid is immutable: its fields cannot be reassigned and ``mask`` and
     ``face_labels`` are read-only.  So the quantities that depend on the
     grid alone are computed on first use and kept on it: the inside cells
-    with a fixed face (``fixed_cells``), the distance from
-    every inside cell center to the fixed edges (``fixed_distance``), the largest
-    distance from an inside cell center to the boundary (``inradius``, which
-    reads ``fixed_distance`` and measures the free edges only, so the inside
-    cells are measured against each edge once), and the rasterized disk of
-    the same area (``equal_area_disk``).
+    with a fixed face (``fixed_cells``), the inside cell centers
+    (``inside_centers``, read by both distances below), the distance from
+    every inside cell center to the fixed edges (``fixed_distance``), the
+    largest distance from an inside cell center to the boundary
+    (``inradius``, which reads ``fixed_distance`` and measures the free
+    edges only, so the inside cells are measured against each edge once),
+    and the rasterized disk of the same area (``equal_area_disk``).
     """
 
     domain: LabeledDomain
@@ -1035,13 +1143,20 @@ class RasterGrid:
         return out
 
     @cached_property
+    def inside_centers(self) -> np.ndarray:
+        """The centers of the inside cells, (N, 2) in row-major cell order
+        (read-only)."""
+        X, Y = self.cell_centers()
+        out = np.column_stack([X[self.mask], Y[self.mask]])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def fixed_distance(self) -> np.ndarray:
         """Distance from each inside cell center to the nearest fixed edge
         (inf without fixed edges), in the grid's shape; inf outside."""
-        X, Y = self.cell_centers()
         dist = np.full(self.mask.shape, np.inf)
-        dist[self.mask] = self.domain.distance_to_label(
-            np.column_stack([X[self.mask], Y[self.mask]]), FIXED)
+        dist[self.mask] = self.domain.distance_to_label(self.inside_centers, FIXED)
         dist.setflags(write=False)
         return dist
 
@@ -1051,8 +1166,7 @@ class RasterGrid:
         A center's distance to every edge is the smaller of its distances to
         the fixed edges, ``fixed_distance``, and to the free ones, bit for
         bit, so only the free edges are measured here."""
-        X, Y = self.cell_centers()
-        free = self.domain.distance_to_label(np.column_stack([X[self.mask], Y[self.mask]]), FREE)
+        free = self.domain.distance_to_label(self.inside_centers, FREE)
         return float(np.minimum(self.fixed_distance[self.mask], free).max())
 
     @cached_property

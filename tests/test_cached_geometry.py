@@ -58,6 +58,17 @@ def test_fixed_distance_equals_direct_call(dom, h):
 
 
 @pytest.mark.parametrize("dom, h", _cases())
+def test_inside_centers_are_the_masked_cell_centers(dom, h, monkeypatch):
+    grid = rasterize(dom, h)
+    X, Y = grid.cell_centers()
+    assert np.array_equal(grid.inside_centers, np.column_stack([X[grid.mask], Y[grid.mask]]))
+    assert grid.inside_centers is grid.inside_centers
+    # both distance fields read the one array; neither rebuilds the centers
+    monkeypatch.setattr(type(grid), "cell_centers", None)
+    grid.fixed_distance, grid.inradius
+
+
+@pytest.mark.parametrize("dom, h", _cases())
 def test_inradius_equals_direct_call(dom, h):
     grid = rasterize(dom, h)
     X, Y = grid.cell_centers()
@@ -219,6 +230,8 @@ def test_grid_arrays_are_read_only():
         grid.mask &= False
     with pytest.raises(ValueError):
         grid.fixed_distance[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        grid.inside_centers[0, 0] = 0.0
     with pytest.raises(AttributeError):
         grid.h = 0.5
 

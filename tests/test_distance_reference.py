@@ -2,14 +2,16 @@
 
 Every boundary distance (tapers, inradius, clearances) and every face label
 comes from ``geometry._nearest_segment``, which measures blocks of
-(points x edges) at once and returns each point's nearest distance and the
-first edge that attains it.  It takes ``hypot`` only on the pairs whose
-squared distance is near the row's smallest.  The reference below is the
+(edges x points) at once and returns each point's nearest distance and the
+first edge that attains it.  On large calls it groups the points into
+square tiles and measures each tile only against the edges that can be
+nearest to one of its points, and it takes ``hypot`` only on the pairs whose
+squared distance is near the smallest.  The reference below is the
 per-edge form of the full distance matrix, written with the same elementwise
 arithmetic: the kernel's distances and indices must equal its row minima and
 argmins bit for bit (``np.array_equal``), at any scale and on exact zeros and
 ties, and a point's result must not depend on which other points share its
-block.
+block or tile.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from freebdry.cli import build_parser, main
 from freebdry.geometry import (
     _DIRS,
     _EDGE_PAIR_BLOCK,
+    _TILE_MIN_EDGES,
     FACE_FIXED,
     FACE_FREE,
     FIXED,
@@ -54,6 +57,21 @@ def assert_nearest_matches(points, starts, ends):
     assert np.array_equal(dist, ref.min(axis=1))
     assert np.array_equal(index, ref.argmin(axis=1))
     return ref
+
+
+@pytest.fixture
+def tiled_calls(monkeypatch):
+    """Whether each kernel call since the fixture was set up grouped its
+    points into tiles or measured them in input order, by slices."""
+    calls, tiles = [], geometry._tiles
+
+    def recording(*args):
+        blocks = tiles(*args)
+        calls.append(not isinstance(blocks[0][0], slice))
+        return blocks
+
+    monkeypatch.setattr(geometry, "_tiles", recording)
+    return calls
 
 
 def edge_table(dom):
@@ -235,19 +253,89 @@ def test_no_points_and_no_matching_edge():
                           np.full(2, np.inf))
 
 
-@pytest.mark.parametrize("name", ["halfdisk", "annulus-free-inner"])
-def test_a_row_does_not_depend_on_its_block(name):
-    dom = DOMAINS[name]
+@pytest.mark.parametrize("name", ["halfdisk", "annulus-free-inner", "disk"])
+def test_a_row_does_not_depend_on_its_block(name, tiled_calls):
+    dom = domains.disk(segments=128) if name == "disk" else DOMAINS[name]
     grid = rasterize(dom, 1 / 96)
+    tiled_calls.clear()  # the face labels
     X, Y = grid.cell_centers()
     pts = np.column_stack([X.ravel(), Y.ravel()])
     starts, ends, _ = edge_table(dom)
-    dist, index = _nearest_segment(pts, starts, ends)
+    ref = assert_nearest_matches(pts, starts, ends)
+    dist, index = ref.min(axis=1), ref.argmin(axis=1)
     inside = grid.mask.ravel()
-    for rows in (inside, slice(1, None), slice(2, None), slice(3, None), slice(57, None)):
+    rng = np.random.default_rng(23)
+    # the points in another order, and subsets whose buckets and tiles cut
+    # across those of the whole grid
+    for rows in (inside, slice(1, None), slice(2, None), slice(3, None), slice(57, None),
+                 rng.permutation(len(pts)), pts[:, 0] < 0.3 * pts[:, 1] + 0.1,
+                 rng.random(len(pts)) < 0.4):
         sub_dist, sub_index = _nearest_segment(pts[rows], starts, ends)
         assert np.array_equal(sub_dist, dist[rows]) and np.array_equal(sub_index, index[rows])
     assert np.array_equal(dom.boundary_distance(pts[inside]), dist[inside])
+    # the annulus has too few edges to tile; the others tile every call
+    assert set(tiled_calls) == {len(starts) >= _TILE_MIN_EDGES}
+
+
+def _cloud(kind):
+    """A cloud of several thousand points near the unit half disk, and the
+    half disk's edges, moved with it."""
+    starts, ends, _ = edge_table(DOMAINS["halfdisk"])
+    rng, n = np.random.default_rng(31), 9001
+    if kind == "collinear":  # a box of zero area
+        return np.column_stack([rng.uniform(-1.2, 1.2, n), np.full(n, 0.3)]), starts, ends
+    if kind == "coincident":  # a box of zero size
+        return np.tile([[0.1, 0.2]], (n, 1)), starts, ends
+    if kind == "two-clusters":  # far apart, so nearly every bucket is empty
+        pts = rng.normal(scale=0.05, size=(n, 2)) + (-0.5, 0.3)
+        pts[n // 2:] += (40.0, 25.0)
+        return pts, starts, ends
+    # a grid near (1e8, 7e7): the offsets lose far more low bits than the
+    # tiles' slack of 1e-12 of the largest coordinate
+    shift = np.array([1e8, 7e7])
+    return rasterize(DOMAINS["halfdisk"], 1 / 64).inside_centers + shift, starts + shift, ends + shift
+
+
+@pytest.mark.parametrize("kind", ["collinear", "coincident", "two-clusters", "far-grid"])
+def test_clouds_in_tiles(kind, tiled_calls):
+    pts, starts, ends = _cloud(kind)
+    tiled_calls.clear()
+    assert_nearest_matches(pts, starts, ends)
+    assert tiled_calls == [True]
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_huge_finite_clouds_in_tiles(scale, tiled_calls):
+    # the products of offsets overflow to inf, and their differences to NaN,
+    # so no bound can drop an edge; neither may a tile lose every edge.  The
+    # kernel keeps its overflows to itself: under -W error::RuntimeWarning a
+    # warning from it fails the test.
+    starts, ends, _ = edge_table(DOMAINS["halfdisk"])
+    rng = np.random.default_rng(37)
+    pts = rng.uniform((-1.2, -0.2), (1.2, 1.2), size=(20000, 2)) * scale
+    with np.errstate(all="ignore"):
+        ref = per_edge_distances(pts, starts * scale, ends * scale)
+    dist, index = _nearest_segment(pts, starts * scale, ends * scale)
+    assert np.array_equal(dist, ref.min(axis=1), equal_nan=True)
+    assert np.array_equal(index, ref.argmin(axis=1))
+    assert tiled_calls == [True]
+
+
+def test_fixed_distance_measures_under_half_its_pairs(monkeypatch):
+    # on the half disk each tile keeps about a third of the 64 fixed edges,
+    # and every block fits the scratch block
+    blocks, block = [], geometry._nearest_in_block
+
+    def counting(px, py, seg, bufs, near_buf):
+        blocks.append(len(seg[0]) * len(px))
+        return block(px, py, seg, bufs, near_buf)
+
+    monkeypatch.setattr(geometry, "_nearest_in_block", counting)
+    grid = rasterize(domains.half_disk(), 1 / 128)
+    grid.fixed_distance
+    n, m = int(grid.mask.sum()), grid.domain.labels.count(FIXED)
+    assert 0 < sum(blocks) < 0.5 * n * m
+    assert max(blocks) <= _EDGE_PAIR_BLOCK
 
 
 def test_non_finite_and_overflowing_points_measure_every_edge():
