@@ -7,8 +7,8 @@ CSV, and exits with a machine-readable status:
     0  all asserted inequalities hold within the fixed slack (constants below, not flags)
     2  input parsing failed, or ``--h``, ``--n``/``--p``, ``--random`` or ``--steps`` is out of range
     3  a precondition was violated: the free chain of the domain of ``isoperim``,
-       ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave, the domain of
-       ``symmetrize`` has holes, a field is not zero on the fixed boundary,
+       ``symmetrize``, ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave,
+       the domain of ``symmetrize`` has holes, a field is not zero on the fixed boundary,
        ``--epsilon``/``--p`` is NaN/inf, or the curvature ``--a`` or
        ``counterexample:<a>`` is not above 1 or makes 8 a^2 overflow
     4  an asserted inequality failed
@@ -29,7 +29,6 @@ from . import constants as consts
 from . import domains as domlib
 from .errors import (
     ConvergenceError,
-    DegenerateCutError,
     DomainValidationError,
     ParameterError,
     PreconditionError,
@@ -140,6 +139,7 @@ def cmd_isoperim(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     dom = _load_domain(args.domain)
+    require_admissible(dom)
     final, trace = symmetrize_iterate(dom, steps=args.steps)
     ratios = [t["ratio"] for t in trace] + [isoperimetric_report(final).ratio]
     increases = [b - a for a, b in zip(ratios, ratios[1:]) if b - a > SYMMETRIZE_RISE]
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except (DomainValidationError, ParameterError, json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateCutError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

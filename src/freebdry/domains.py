@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateCutError, DomainValidationError
-from .geometry import (FIXED, FREE, CutLine, LabeledDomain, _kept_arc, _next, _orient,
-                       _points_in_polygon, _segments_cross, _signed_area, _walk)
+from .errors import DomainValidationError
+from .geometry import (FIXED, FREE, CutLine, LabeledDomain, _convex_hull, _kept_arc, _next,
+                       _orient, _points_in_polygon, _segments_cross, _signed_area, _walk)
 
 DEFAULT_SEGMENTS = 64
 _RANDOM_SEGMENTS = 24  # of the generated half disks and bite circles
@@ -121,27 +121,6 @@ def _random_convex_polygon(rng: np.random.Generator, n_points: int) -> np.ndarra
     rad = rng.uniform(0.7, 1.3, n_points)
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     return _convex_hull(pts)
-
-
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    # the monotone chain on Python floats: the same IEEE operations as on
-    # numpy scalars, without their per-operation overhead
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                (x0, y0), (x1, y1) = out[-2], out[-1]
-                if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
 
 
 def _loop_crossings(poly: np.ndarray, bite: np.ndarray) -> list[tuple] | None:
@@ -260,12 +239,14 @@ def _random_chord_cap(rng: np.random.Generator) -> LabeledDomain | None:
     d = cut.signed_distance(poly)
     if (d > 0).sum() < 3:
         return None
+    # the arc from the entering crossing to the leaving one, closed by the
+    # chord
+    kept = _kept_arc(poly, [FIXED] * len(poly), d)
+    if kept is None:
+        return None
     try:
-        # the arc from the entering crossing to the leaving one, closed by
-        # the chord
-        arc, labels = _kept_arc(poly, [FIXED] * len(poly), cut, d)
-        return LabeledDomain(arc, labels + [FREE])
-    except (DegenerateCutError, DomainValidationError):
+        return LabeledDomain(kept[0], kept[1] + [FREE])
+    except DomainValidationError:
         return None
 
 

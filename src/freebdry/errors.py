@@ -14,7 +14,7 @@ class PreconditionError(ValueError):
 
 
 class DegenerateCutError(ValueError):
-    """A reflection step cannot be carried out for this cut geometry."""
+    """A degenerate reflection cut; the step refuses such cuts, and nothing raises this."""
 
 
 class ConvergenceError(RuntimeError):

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .constants import isoperimetric_constants
-from .errors import DegenerateCutError, DomainValidationError, PreconditionError
+from .errors import DomainValidationError, PreconditionError
 
 FIXED = "fixed"
 FREE = "free"
@@ -603,22 +603,16 @@ class LabeledDomain:
     def free_chain_points(self, n: int) -> np.ndarray:
         """``n`` points spread uniformly in arc length over the free chain,
         in chain order."""
-        return self._chain_samples(n)[0]
-
-    def _chain_samples(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The points of :meth:`free_chain_points` and, for each, the row of
-        the free-chain table of the edge it lies on (a point at a chain
-        vertex lies on both edges there, and is given one of them)."""
         chain = self._free_chain
         if not len(chain):
-            return np.empty((0, 2)), np.empty(0, dtype=np.intp)
+            return np.empty((0, 2))
         a, b, lens = self._edges.start[chain], self._edges.end[chain], self._edges.length[chain]
         cum = np.concatenate([[0.0], np.cumsum(lens)])
         s = np.linspace(0.0, cum[-1], n)
         idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
         # a zero-length edge gives its start point
         t = np.divide(s - cum[idx], lens[idx], out=np.zeros(n), where=lens[idx] > 0.0)
-        return a[idx] + np.clip(t, 0.0, 1.0)[:, None] * (b - a)[idx], idx
+        return a[idx] + np.clip(t, 0.0, 1.0)[:, None] * (b - a)[idx]
 
     # -- transforms ----------------------------------------------------------------
 
@@ -689,7 +683,7 @@ class LabeledDomain:
 class ConcavityReport:
     concave: bool
     vacuous: bool = False
-    witness: tuple | None = None  # (endpoint_a, endpoint_b, interior_point)
+    overlap: float = 0.0  # area of the domain inside the free chain's hull
 
 
 @dataclass(frozen=True)
@@ -703,7 +697,7 @@ class IsoperimetricReport:
 
 @dataclass(frozen=True)
 class SymmetrizationResult:
-    case: str                 # "reflected" or "case-2"
+    case: str                 # "reflected", "case-2" or "inadmissible"
     domain: LabeledDomain
     cut: CutLine
     ratio_before: float
@@ -714,33 +708,75 @@ class SymmetrizationResult:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-_CONCAVITY_SAMPLES = 64
-# the sample pairs (i < j) of the concavity probes, in probe order
-_CONCAVITY_PAIRS = np.triu_indices(_CONCAVITY_SAMPLES, k=1)
-for _rows in _CONCAVITY_PAIRS:
-    _rows.setflags(write=False)
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """The convex hull of the points ``pts`` (N, 2), counterclockwise, by
+    Andrew's monotone chain on Python floats; points on a hull edge are
+    dropped, so points on one line give its two ends."""
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+# a hull with more vertices than this is halved before its edges clip a loop
+_CLIP_SPLIT = 16
+
+
+def _clip_half(poly: list, a: list, b: list) -> list:
+    """One Sutherland-Hodgman pass: the part of the polygon ``poly``, a list
+    of points, strictly left of the line a -> b, where :func:`_orient` is
+    positive.  The result runs along the line between its pieces, so its
+    signed area is the polygon's in the half-plane, convex or not."""
+    (ax, ay), (bx, by) = a, b
+    s = [(bx - ax) * (y - ay) - (by - ay) * (x - ax) for x, y in poly]
+    out = []
+    for p, sp, q, sq in zip(poly[-1:] + poly[:-1], s[-1:] + s[:-1], poly, s):
+        if (sp > 0.0) != (sq > 0.0):
+            t = sp / (sp - sq)
+            out.append([p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])])
+        if sq > 0.0:
+            out.append(q)
+    return out
+
+
+def _hull_overlap(poly: list, hull: list) -> float:
+    """The area of the CCW polygon ``poly`` inside the convex CCW polygon
+    ``hull``: ``poly`` clipped by each hull edge in turn.  Every vertex of a
+    concave arc is a hull vertex that each pass visits, so a hull of more
+    than ``_CLIP_SPLIT`` vertices is first halved by the chord from its
+    vertex 0 to its middle one, and each half clips its side of ``poly``."""
+    if len(hull) > _CLIP_SPLIT:
+        m = len(hull) // 2
+        a, b = hull[0], hull[m]
+        return (_hull_overlap(_clip_half(poly, b, a), hull[:m + 1])
+                + _hull_overlap(_clip_half(poly, a, b), hull[m:] + hull[:1]))
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        poly = _clip_half(poly, a, b)
+    return _signed_area(np.array(poly)) if len(poly) >= 3 else 0.0
 
 
 def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     """Check that every chord between two free-boundary points avoids the
     interior.
 
-    The free chain is sampled at 64 arc-length-uniform points in chain
-    order, so the samples do not depend on which vertex is 0; for each
-    point pair the chord is probed at its midpoint and quarter points.  A
-    chord between two samples on one free edge runs along that edge and is
-    not probed, so a straight free chain is concave with no probe.  A
-    probe counts as interior only if it lies inside the domain with positive
-    clearance from the boundary, so chords running along a straight free
-    edge do not produce false negatives.  The clearance is measured to the
-    free edges first, and to the fixed edges only for the inside probes
-    clear of the free ones: most inside probes lie on a free edge.  Returns
-    a witness pair, of the first clear probe, on failure; an empty free
-    chain is vacuously concave.  The report is computed once per domain and
-    kept on it.
+    The chords of a connected chain fill the convex hull of its vertices,
+    so the chain is concave when the domain does not overlap that hull: the
+    area of each loop clipped by the hull, the holes' counted negative, is
+    at most ``1e-12 * diameter**2``.  A straight chain's hull is a segment,
+    which nothing lies strictly inside; an empty free chain is vacuously
+    concave.  The report is computed once per domain and kept on it.
     """
     if domain._concavity is None:
-        domain._concavity = _sampled_concavity(domain)
+        domain._concavity = _exact_concavity(domain)
     return domain._concavity
 
 
@@ -767,35 +803,16 @@ def require_admissible(domain: LabeledDomain, field=None) -> ConcavityReport:
     return report
 
 
-def _sampled_concavity(domain: LabeledDomain) -> ConcavityReport:
-    pts, edge = domain._chain_samples(_CONCAVITY_SAMPLES)
-    if len(pts) == 0:
+def _exact_concavity(domain: LabeledDomain) -> ConcavityReport:
+    chain = domain._free_chain
+    if not len(chain):
         return ConcavityReport(concave=True, vacuous=True)
-    tol = 1e-9 * max(domain.diameter, 1e-30)
-    # a chord between two samples on one free edge runs along that edge, so
-    # its probes lie on it up to rounding, far inside tol: none is probed
-    ii, jj = _CONCAVITY_PAIRS
-    keep = edge[ii] != edge[jj]
-    ii, jj = ii[keep], jj[keep]
-    if not ii.size:
-        return ConcavityReport(concave=True)
-    a, b = pts[ii], pts[jj]
-    probes = np.concatenate([a + f * (b - a) for f in (0.25, 0.5, 0.75)])
-    # the inside probes, then those clear of the free edges, then those
-    # clear of the fixed edges too; each point-edge distance is measured on
-    # its own, so that is the clearance from the whole boundary
-    clear = np.flatnonzero(domain.contains(probes))
-    for label in (FREE, FIXED):
-        if clear.size:
-            clear = clear[domain.distance_to_label(probes[clear], label) > tol]
-    if clear.size:
-        k = int(clear[0])
-        pair = k % len(ii)
-        return ConcavityReport(
-            concave=False,
-            witness=(tuple(a[pair]), tuple(b[pair]), tuple(probes[k])),
-        )
-    return ConcavityReport(concave=True)
+    edges = domain._edges
+    hull = _convex_hull(np.vstack([edges.start[chain], edges.end[chain[-1:]]])).tolist()
+    overlap = _hull_overlap(domain.vertices.tolist(), hull)
+    for hole in domain.holes:
+        overlap -= _hull_overlap(hole.tolist(), hull)
+    return ConcavityReport(concave=overlap <= 1e-12 * domain.diameter ** 2, overlap=overlap)
 
 
 def isoperimetric_report(domain: LabeledDomain) -> IsoperimetricReport:
@@ -900,23 +917,23 @@ def _walk(loop: np.ndarray, edge: int, count: int) -> np.ndarray:
     return loop[(edge + 1 + np.arange(count)) % len(loop)]
 
 
-def _kept_arc(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
-              d: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """The part of a simple CCW polygon's boundary on one side of ``cut``,
-    where the vertices' signed distances ``d`` are positive, as (vertices,
-    labels of the edges between them).
+def _kept_arc(loop: np.ndarray, labels: Sequence[str],
+              d: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+    """The part of a simple CCW polygon's boundary on one side of a line,
+    where the vertices' signed distances ``d`` to it are positive, as
+    (vertices, labels of the edges between them).
 
     The kept part must meet the line in one chord, so the boundary crosses
     the line exactly twice and the kept part is the arc from the entering
     crossing through the kept vertices to the leaving crossing; otherwise
-    :class:`DegenerateCutError` says how the kept part falls apart.  Assumes
+    (several components or chords, or nothing kept) it is ``None``.  Assumes
     no vertex lies on the line; callers nudge the offset beforehand.
     """
     m = len(loop)
     kept = d > 0.0
     cross = np.flatnonzero(kept != _next(kept))  # edge i crosses the line
     if len(cross) != 2:
-        raise DegenerateCutError(_split_failure(loop, d, cross, cut))
+        return None
     enter, leave = cross.tolist()
     if not kept[(enter + 1) % m]:  # the entering edge ends on the kept side
         enter, leave = leave, enter
@@ -926,36 +943,15 @@ def _kept_arc(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
 
 
 def _reflected_half(loop: np.ndarray, labels: Sequence[str], cut: CutLine,
-                    d: np.ndarray) -> tuple[np.ndarray, list[str]]:
+                    d: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
     """The kept arc of :func:`_kept_arc` followed by the mirror image of its
-    inner vertices, as (vertices, labels)."""
-    arc, arc_labels = _kept_arc(loop, labels, cut, d)
+    inner vertices, as (vertices, labels); ``None`` with no kept arc.  The
+    arc's crossings are vertex 0 and the middle vertex."""
+    kept = _kept_arc(loop, labels, d)
+    if kept is None:
+        return None
+    arc, arc_labels = kept
     return np.vstack([arc, cut.mirror(arc[-2:0:-1])]), arc_labels + arc_labels[::-1]
-
-
-def _split_failure(loop: np.ndarray, d: np.ndarray, cross: np.ndarray, cut: CutLine) -> str:
-    """Why the kept side is not one arc: its number of components, or of
-    chords when it is one component.  Along the line the crossings of rank
-    2k and 2k + 1 bound a chord; each arc runs from an entering crossing to
-    the next crossing of the boundary, and a component is a cycle of arcs
-    joined by chords.  The ranks run along the line, read off as signed
-    distances to a perpendicular line; their direction does not matter."""
-    if len(cross) == 0:
-        return "kept half meets the cut in 0 chords" if d[0] > 0.0 else "kept half has 0 components"
-    along = CutLine(cut.angle + 0.5 * math.pi, 0.0).signed_distance(
-        [_crossing(loop, d, i) for i in cross])
-    rank = np.argsort(np.argsort(along, kind="stable")).tolist()
-    entering = d[(cross + 1) % len(loop)] > 0.0
-    next_arc = {rank[q]: rank[(q + 1) % len(cross)] ^ 1 for q in np.flatnonzero(entering)}
-    components, seen = 0, set()
-    for r in next_arc:
-        components += r not in seen
-        while r not in seen:
-            seen.add(r)
-            r = next_arc[r]
-    if components != 1:
-        return f"kept half has {components} components"
-    return f"kept half meets the cut in {len(next_arc)} chords"
 
 
 def _fixed_length_split(domain: LabeledDomain, d: np.ndarray) -> tuple[float, float]:
@@ -978,60 +974,88 @@ def _fixed_length_split(domain: LabeledDomain, d: np.ndarray) -> tuple[float, fl
     return above, below
 
 
+_CUT_TRIES = 4  # a reflection step tries the cut angles theta + k * GOLDEN_ANGLE, k < 4
+
+
+def _reflected_union(domain: LabeledDomain, cut: CutLine, d: np.ndarray) -> LabeledDomain | None:
+    """The half of ``domain`` with less fixed length on its side of ``cut``
+    (``d`` holds the vertices' signed distances, none 0) joined to its
+    mirror image; ``None`` unless that is a valid polygon whose free chain
+    does not turn convex at the cut.  A cut meeting a free edge at angle phi
+    leaves a free corner of 2 phi, concave when phi >= pi/2: the union's
+    edges u into and w out of the crossing turn left by 1e-12 |u| |w| at
+    most."""
+    above, below = _fixed_length_split(domain, d)
+    half = _reflected_half(domain.vertices, domain.labels, cut, d if above <= below else -d)
+    if half is None:
+        return None
+    vertices, labels = half
+    m = len(vertices)
+    for i in (0, m // 2):  # the crossings; edge i runs along the crossed edge
+        p, c, q = vertices[i - 1], vertices[i], vertices[(i + 1) % m]
+        if labels[i] == FREE and _orient(p, c, q) > 1e-12 * math.dist(p, c) * math.dist(c, q):
+            return None
+    try:
+        return LabeledDomain(vertices, labels)
+    except DomainValidationError:
+        return None
+
+
 def symmetrization_step(domain: LabeledDomain, theta: float) -> SymmetrizationResult:
-    """One reflection symmetrization step.
+    """One reflection symmetrization step that stays in the admissible
+    class.
 
-    Cut the domain by its equal-area line at angle ``theta``.  When the cut
-    meets the free chain, keep the half with the smaller fixed-boundary
-    length and return the union of that half with its mirror image; since
-    both halves have equal area and the kept fixed length is at most half the
-    total, the fixed-boundary isoperimetric ratio cannot increase.  When the
-    cut misses the free chain the input is returned unchanged with
-    ``case="case-2"``.
-
-    A domain with holes lies outside the step's class and raises
-    :class:`PreconditionError`.  Cuts that cannot be moved off the vertex
-    set, and cuts whose kept half is more than one arc (several components
-    or chords), raise :class:`DegenerateCutError`.
+    Cut the domain by its equal-area line at angle theta + k * GOLDEN_ANGLE,
+    k < ``_CUT_TRIES``, and reflect at the first cut that meets the free
+    chain, can be moved off the vertex set and gives a union
+    (:func:`_reflected_union`) that passes :func:`require_admissible` with
+    a ratio no higher than the input's (halves of equal area, the kept one
+    with at most half the fixed length: only rounding can raise it).  When
+    no cut passes, the input is returned unchanged, as ``"case-2"`` when no
+    cut met the free chain and ``"inadmissible"`` otherwise.  A domain with
+    holes lies outside the step's class and raises
+    :class:`PreconditionError`.
     """
     if domain.holes:
         raise PreconditionError("reflection step does not support holes")
     ratio_before = isoperimetric_report(domain).ratio
-    cut = equal_volume_cut(domain, theta)
-    d = cut.signed_distance(domain.vertices)
-    # the cut meets the free chain where a free edge is not strictly on one side
-    if not (domain._edges.free & (np.sign(d) * np.sign(_next(d)) <= 0.0)).any():
-        return SymmetrizationResult("case-2", domain, cut, ratio_before, ratio_before)
-
     scale = max(domain.diameter, 1e-30)
-    # nudge off any vertex sitting on the line so all crossings are transversal
-    if np.min(np.abs(d)) < 1e-11 * scale:
-        cut = CutLine(cut.angle, cut.offset + 3.17e-9 * scale)
+    case, cuts = "case-2", []
+    for k in range(_CUT_TRIES):
+        cut = equal_volume_cut(domain, theta + k * GOLDEN_ANGLE)
+        cuts.append(cut)
         d = cut.signed_distance(domain.vertices)
+        # the cut meets the free chain where a free edge is not strictly on one side
+        if not (domain._edges.free & (np.sign(d) * np.sign(_next(d)) <= 0.0)).any():
+            continue
+        case = "inadmissible"
+        # nudge off any vertex sitting on the line so all crossings are transversal
         if np.min(np.abs(d)) < 1e-11 * scale:
-            raise DegenerateCutError("could not nudge cut off the vertex set")
-
-    above, below = _fixed_length_split(domain, d)
-    side = +1 if above <= below else -1
-
-    union_vertices, union_labels = _reflected_half(domain.vertices, domain.labels, cut, d * side)
-    try:
-        new_domain = LabeledDomain(union_vertices, union_labels)
-    except DomainValidationError as exc:
-        raise DegenerateCutError(f"reflected union is not a valid polygon: {exc}")
-    ratio_after = isoperimetric_report(new_domain).ratio
-    return SymmetrizationResult("reflected", new_domain, cut, ratio_before, ratio_after)
+            cut = CutLine(cut.angle, cut.offset + 3.17e-9 * scale)
+            d = cut.signed_distance(domain.vertices)
+            if np.min(np.abs(d)) < 1e-11 * scale:
+                continue
+        union = _reflected_union(domain, cut, d)
+        ratio_after = math.inf if union is None else isoperimetric_report(union).ratio
+        if ratio_after > ratio_before:
+            continue
+        try:
+            require_admissible(union)
+        except PreconditionError:
+            continue
+        return SymmetrizationResult("reflected", union, cut, ratio_before, ratio_after)
+    return SymmetrizationResult(case, domain, cuts[0], ratio_before, ratio_before)
 
 
 def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledDomain, list[dict]]:
     """Drive repeated reflection steps through multiples of the golden angle.
 
     Cut angles k * GOLDEN_ANGLE (mod pi) realize an equidistributed angle
-    sequence.  Steps with degenerate cut geometry are skipped but recorded;
-    a domain with holes raises :class:`PreconditionError` at the first step.
-    The run stops early once an executed step improves the ratio by less
-    than 1e-6.  Returns the final domain and a per-step trace carrying the
-    ratio, the area, and the width of the domain's x-projection.
+    sequence; a domain with holes raises :class:`PreconditionError` at the
+    first step.  The run stops once a reflected step improves the ratio by
+    less than 1e-6, or at an ``"inadmissible"`` step, as the next would try
+    three of its cut angles on the same domain.  Returns the final domain
+    and a per-step trace of the ratio, area and x-projection width.
     """
     trace: list[dict] = []
     current = domain
@@ -1041,23 +1065,18 @@ def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledD
     ratio, width = isoperimetric_report(current).ratio, x1 - x0
     for k in range(1, steps + 1):
         theta = (k * GOLDEN_ANGLE) % math.pi
-        record = {
+        result = symmetrization_step(current, theta)
+        trace.append({
             "step": k,
             "theta": theta,
             "ratio": ratio,
             "area": current.area,
             "projection_width": width,
-        }
-        try:
-            result = symmetrization_step(current, theta)
-        except DegenerateCutError as exc:
-            record["case"] = "skipped"
-            record["detail"] = str(exc)
-            trace.append(record)
-            continue
-        record["case"] = result.case
-        record["ratio_after"] = result.ratio_after
-        trace.append(record)
+            "case": result.case,
+            "ratio_after": result.ratio_after,
+        })
+        if result.case == "inadmissible":
+            break
         if result.case == "reflected":
             improved = result.ratio_before - result.ratio_after
             current = result.domain

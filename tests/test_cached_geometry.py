@@ -16,7 +16,7 @@ from freebdry.geometry import (
     FIXED,
     FREE,
     LabeledDomain,
-    _sampled_concavity,
+    _exact_concavity,
     is_concave_free_boundary,
     rasterize,
 )
@@ -139,14 +139,14 @@ def test_bubble_on_a_shared_grid_equals_a_fresh_one():
     LabeledDomain.load_json(GENERATED),
 ])
 def test_concavity_report_is_computed_once(dom, monkeypatch):
-    expected = _sampled_concavity(dom)
+    expected = _exact_concavity(dom)
     calls = []
 
     def counted(domain):
         calls.append(domain)
-        return _sampled_concavity(domain)
+        return _exact_concavity(domain)
 
-    monkeypatch.setattr("freebdry.geometry._sampled_concavity", counted)
+    monkeypatch.setattr("freebdry.geometry._exact_concavity", counted)
     first = is_concave_free_boundary(dom)
     assert is_concave_free_boundary(dom) is first
     assert first == expected
@@ -159,7 +159,9 @@ def test_transformed_domain_gets_its_own_concavity_report():
     moved = dom.transformed(shift=(1.0, 2.0))
     report = is_concave_free_boundary(moved)
     assert not report.concave
-    assert report.witness != is_concave_free_boundary(dom).witness
+    assert report is not is_concave_free_boundary(dom)
+    assert moved._concavity is report and dom._concavity is not report
+    assert report.overlap == pytest.approx(is_concave_free_boundary(dom).overlap, rel=1e-12)
 
 
 def _clockwise(loop, labels):

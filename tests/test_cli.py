@@ -230,12 +230,22 @@ def test_polygon_report_matches_golden(tmp_path, name, argv):
     assert out.read_bytes() == golden.read_bytes()
 
 
-def test_symmetrize_golden_pins_the_reflection_defect():
-    # the reflection step leaves the admissible class: the trapezoid reaches
-    # ratio 0.0 in 5 reflected steps, and no check fails
+def test_symmetrize_golden_stays_in_the_class():
+    # each executed step stays in the admissible class: the trapezoid makes
+    # one reflected step and stops at the first inadmissible one, above the
+    # sharp bound
     data = json.loads((Path(__file__).parent / "data" / _SYMMETRIZE_GOLDEN[0]).read_text())
-    assert [t["case"] for t in data["trace"]] == ["reflected"] * 5
-    assert data["steps_run"] == 5 and data["final_ratio"] == 0.0 and data["failures"] == []
+    assert [t["case"] for t in data["trace"]] == ["reflected", "inadmissible"]
+    assert math.sqrt(2.0 * math.pi) < data["final_ratio"] < data["initial_ratio"]
+    assert data["failures"] == []
+
+
+def test_symmetrize_half_disk_ends_at_its_initial_ratio(tmp_path):
+    # the half disk attains the sharp bound, and no step may lower it
+    out = tmp_path / "sym.json"
+    assert run_cli(["symmetrize", "--domain", "halfdisk", "--quiet", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["final_ratio"] == data["initial_ratio"] and data["failures"] == []
 
 
 def _fresh_reports(calls, tmp_path):
@@ -588,7 +598,7 @@ def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
     import freebdry.rearrange as rearrange
 
     counts = {"rasterize": 0, "concavity": 0}
-    rasterize, concavity = geometry.rasterize, geometry._sampled_concavity
+    rasterize, concavity = geometry.rasterize, geometry._exact_concavity
 
     def counted_rasterize(*args):
         counts["rasterize"] += 1
@@ -600,7 +610,7 @@ def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
 
     for module in (geometry, quotients, rearrange):
         monkeypatch.setattr(module, "rasterize", counted_rasterize)
-    monkeypatch.setattr(geometry, "_sampled_concavity", counted_concavity)
+    monkeypatch.setattr(geometry, "_exact_concavity", counted_concavity)
     for _ in range(2):
         assert run_cli(["sobolev", "--h", "0.0625", "--random", "2", "--quiet"]) == 0
     # one grid per call for three bubbles and two random fields
@@ -763,10 +773,6 @@ def test_every_gated_campaign_accepts_a_concave_sector(tmp_path, capsys, campaig
     assert _run_on(tmp_path, spec_json, _GATED_CAMPAIGNS[campaign], capsys) == (0, "")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "symmetrize does not check concavity: with the sampled concavity test, "
-    "checking each bench domains input would cost about a third of that "
-    "campaign's time; it waits for an exact, faster predicate"))
 def test_symmetrize_refuses_a_non_concave_domain(tmp_path, capsys):
     codes = [_run_on(tmp_path, spec_json, ["symmetrize", "--steps", "2"], capsys)[0]
              for spec_json in _OUT_OF_CLASS.values()]

@@ -15,7 +15,7 @@ area.  ``_area_above`` reads the table at any offset.  The shoelace is
 the same numpy expression with ``_next`` in place of ``np.roll``, so its
 areas must agree exactly too.  The split reference stitches any number of
 kept components and chords; the two-crossing arc must give the same union,
-bit for bit, or the same error text.
+bit for bit, or refuse the cut where the reference raises.
 
 The generator reference is the one that preceded geometry's kernels: a
 pure-Python crossing search keyed by arc length, a convex inside test with
@@ -47,10 +47,14 @@ from freebdry.geometry import (
     LabeledDomain,
     _area_table,
     _edge_lengths,
+    _fixed_length_split,
+    _next,
     _points_in_polygon,
     _reflected_half,
+    _reflected_union,
     _signed_area,
     equal_volume_cut,
+    isoperimetric_report,
     symmetrization_step,
 )
 
@@ -211,19 +215,17 @@ def test_cut_matches_reference_on_half_disk():
 def test_cut_matches_reference_on_reflected_unions():
     # from its second step on, symmetrize cuts mirrored unions: their
     # vertices come in mirror pairs and their edges can be nearly parallel
-    # to the cut; each union is cut at its own axis and at the next angle
+    # to the cut; each union of the single-angle step is cut at its own
+    # axis and at the next angle
     rng = np.random.default_rng(31)
     unions = 0
     for _ in range(50):
         current = domains.random_concave_domain(rng)
         for k in range(1, 6):
             theta = (k * GOLDEN_ANGLE) % math.pi
-            try:
-                result = symmetrization_step(current, theta)
-            except DegenerateCutError:
-                continue
-            if result.case == "reflected":
-                current = result.domain
+            union = single_angle_step(current, theta)
+            if union is not None:
+                current = union
                 unions += 1
                 assert_cuts_match(current, [theta, ((k + 1) * GOLDEN_ANGLE) % math.pi])
     assert unions >= 100
@@ -367,24 +369,50 @@ def reflected_half(loop, labels, cut, side):
     return _reflected_half(loop, labels, cut, cut.signed_distance(loop) * side)
 
 
-def split_outcome(split, dom, cut, side):
-    """The union's shape, bytes and labels, or the error text."""
+def single_angle_step(dom, theta):
+    """The reflection step as it was before it tried several cuts and
+    checked its output: the equal-area cut at ``theta``, nudged off the
+    vertex set, and the half with less fixed length joined to its mirror
+    image; ``None`` where that step was skipped or returned ``case-2``."""
+    cut = equal_volume_cut(dom, theta)
+    d = cut.signed_distance(dom.vertices)
+    if not (dom._edges.free & (np.sign(d) * np.sign(_next(d)) <= 0.0)).any():
+        return None
+    cut = nudged(dom, cut)
+    d = cut.signed_distance(dom.vertices)
+    if np.min(np.abs(d)) < 1e-11 * dom.diameter:
+        return None
+    above, below = _fixed_length_split(dom, d)
+    half = reflected_half(dom.vertices, dom.labels, cut, 1 if above <= below else -1)
     try:
-        vertices, labels = split(dom.vertices, dom.labels, cut, side)
+        return None if half is None else LabeledDomain(*half)
+    except DomainValidationError:
+        return None
+
+
+def split_outcome(split, dom, cut, side):
+    """The union's shape, bytes and labels; the error text where the
+    reference raises, and ``None`` where the split refuses the cut."""
+    try:
+        union = split(dom.vertices, dom.labels, cut, side)
     except DegenerateCutError as exc:
         return str(exc)
-    return vertices.shape, vertices.tobytes(), labels
+    return None if union is None else (union[0].shape, union[0].tobytes(), union[1])
 
 
 def assert_splits_match(dom, cuts) -> Counter:
-    """Compare both sides of every cut; returns the count of each error text."""
+    """Compare both sides of every cut: the same union, or a refusal where
+    the reference raises.  Returns the count of each reference error text."""
     errors = Counter()
     for cut in cuts:
         for side in (1, -1):
             ref = split_outcome(reference_reflected_half, dom, cut, side)
-            assert split_outcome(reflected_half, dom, cut, side) == ref
+            new = split_outcome(reflected_half, dom, cut, side)
             if isinstance(ref, str):
+                assert new is None
                 errors[ref] += 1
+            else:
+                assert new == ref
     return errors
 
 
@@ -420,21 +448,29 @@ def test_split_matches_reference_on_multichord_domain():
     assert errors == {"kept half has 2 components": 1, "kept half meets the cut in 2 chords": 1}
 
 
-@pytest.mark.parametrize("dom, theta", [
-    # the 2 x 1 rectangle with a vertex mid-bottom and mid-top, cut at x = 1
+@pytest.mark.parametrize("dom, theta, case", [
+    # the 2 x 1 rectangle with a vertex mid-bottom and mid-top, cut at
+    # x = 1: the kept half's union has a ratio one ulp above the input's,
+    # so the step refuses it, and its other candidate cuts too
     (LabeledDomain([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)],
-                   [FREE, FREE, FIXED, FIXED, FIXED, FIXED]), math.pi / 2.0),
-    (domains.half_disk(), math.pi / 2.0),  # through the arc's apex
+                   [FREE, FREE, FIXED, FIXED, FIXED, FIXED]), math.pi / 2.0, "inadmissible"),
+    (domains.half_disk(), math.pi / 2.0, "reflected"),  # through the arc's apex
 ])
-def test_split_matches_reference_on_nudged_vertex_cut(dom, theta):
+def test_split_matches_reference_on_nudged_vertex_cut(dom, theta, case):
     moved = nudged(dom, equal_volume_cut(dom, theta))
     assert moved != equal_volume_cut(dom, theta)
     assert not assert_splits_match(dom, [moved])
-    # the whole step reflects one of the two reference unions
-    res = symmetrization_step(dom, theta)
-    assert res.case == "reflected" and res.cut == moved
     unions = [LabeledDomain(*reference_reflected_half(dom.vertices, dom.labels, moved, side))
               for side in (1, -1)]
+    res = symmetrization_step(dom, theta)
+    assert res.case == case
+    if case == "inadmissible":
+        assert res.domain is dom
+        kept = _reflected_union(dom, moved, moved.signed_distance(dom.vertices))
+        assert isoperimetric_report(kept).ratio > res.ratio_before
+        return
+    # the whole step reflects one of the two reference unions
+    assert res.cut == moved
     assert any(res.domain.vertices.tobytes() == u.vertices.tobytes()
                and res.domain.labels == u.labels for u in unions)
 

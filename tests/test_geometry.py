@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from freebdry import domains, geometry
-from freebdry.errors import DegenerateCutError, DomainValidationError, PreconditionError
+from freebdry.errors import DomainValidationError, PreconditionError
 from freebdry.geometry import (
     FIXED,
     FREE,
+    GOLDEN_ANGLE,
     CutLine,
     LabeledDomain,
     _check_crossings,
@@ -21,6 +22,7 @@ from freebdry.geometry import (
 )
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
 from tests.test_cli import _sector_json
+from tests.test_concavity_reference import arc_domain
 from tests.test_cut_reference import reference_area_above
 
 
@@ -263,23 +265,29 @@ def test_boundary_lengths_circle(disk_domain):
 
 def test_concave_half_disk(half_disk_domain):
     rep = is_concave_free_boundary(half_disk_domain)
-    assert rep.concave and not rep.vacuous and rep.witness is None
+    assert rep.concave and not rep.vacuous and rep.overlap == 0.0
 
 
-def test_concave_parabola_fails():
-    dom = counterexample_domain(CounterexampleSpec(a=3.0))
+@pytest.mark.parametrize("a", [3.0, 5.0])
+def test_concave_parabola_fails(a):
+    # the hull of the free chain is the region between the sampled parabola
+    # and its chord, all of it inside the domain: the overlap is the
+    # polyline's shoelace area
+    dom = counterexample_domain(CounterexampleSpec(a=a))
     rep = is_concave_free_boundary(dom)
     assert not rep.concave
-    a, b, probe = rep.witness
-    # the witness chord midpoint sits above the parabola, inside the region
-    assert probe[1] > 3.0 * probe[0] ** 2
-    assert dom.contains(np.array([probe]))[0]
+    parabola = abs(geometry._signed_area(dom.vertices[:65]))
+    assert parabola == pytest.approx(1.3330078125, rel=1e-12)
+    assert rep.overlap == pytest.approx(parabola, rel=1e-9)
 
 
 def test_concave_annulus_free_inner():
+    # a closed free chain: the hull is the hole, whose area the outer loop's
+    # clip adds and the hole's own clip takes off again
     dom = domains.square_annulus(free_inner=True)
     rep = is_concave_free_boundary(dom)
     assert rep.concave and not rep.vacuous
+    assert abs(rep.overlap) <= 1e-15
 
 
 def test_concave_vacuous(square_domain):
@@ -295,16 +303,36 @@ def test_concave_bulge_away_from_domain_fails():
     assert not is_concave_free_boundary(dom).concave
 
 
-@pytest.mark.xfail(strict=True, reason="the sampled concavity test misses a dent narrower "
-                                       "than its sample spacing (ROADMAP item 2)")
 @pytest.mark.parametrize("x, width", [(7.913, 3e-3), (3.37, 3e-4)])
 def test_concave_narrow_dent_fails(x, width):
     # the free bottom of [0, 10]^2 dented inward, as wide as deep: the chord
-    # from the dent's tip to the corner (0, 0) runs through the interior
+    # from the dent's tip to the corner (0, 0) runs through the interior.
+    # The hull is the triangle (0, 0), (10, 0), (x, width), and the domain
+    # fills it but for the dent
     pts = [(0, 0), (x - width / 2, 0), (x, width), (x + width / 2, 0), (10, 0), (10, 10), (0, 10)]
     dom = LabeledDomain(pts, [FREE] * 4 + [FIXED] * 3)
     assert dom.contains([(x / 2, width / 2)])[0]
-    assert not is_concave_free_boundary(dom).concave
+    rep = is_concave_free_boundary(dom)
+    assert not rep.concave
+    assert rep.overlap == pytest.approx(5.0 * width - width * width / 2.0, rel=1e-9)
+
+
+def test_concave_long_arc_clips_a_vertex_a_bounded_number_of_times(monkeypatch):
+    # a hull edge's pass visits every vertex still kept; halving the hull
+    # first keeps the count per vertex near _CLIP_SPLIT + 2 log2(h / 16),
+    # where clipping by all h = 4,097 hull edges in turn would make it h
+    visited = []
+    clip = geometry._clip_half
+
+    def counted(poly, a, b):
+        visited.append(len(poly))
+        return clip(poly, a, b)
+
+    monkeypatch.setattr(geometry, "_clip_half", counted)
+    dom = arc_domain(4096)
+    rep = is_concave_free_boundary(dom)
+    assert rep.concave and abs(rep.overlap) <= 1e-12 * dom.diameter ** 2
+    assert sum(visited) < 64 * len(dom.vertices)
 
 
 # -- isoperimetric report ------------------------------------------------------
@@ -460,22 +488,74 @@ def test_symmetrization_trapezoid_exact_oracle():
     assert res.ratio_after <= res.ratio_before + 1e-9
 
 
-def test_symmetrization_case2(square_free_bottom):
-    # horizontal cut: the free bottom edge is not met
-    res = symmetrization_step(square_free_bottom, 0.0)
+def test_symmetrization_case2():
+    # the unit square whose free edge is the bottom's first 0.05: the cuts,
+    # all through the centre, at 0, 137.5, 95 and 52.5 degrees meet the
+    # bottom at x = 0.5 - 0.5 cot(angle) only where that lies in [0, 1],
+    # and there at 0.116 or more
+    dom = LabeledDomain([(0, 0), (0.05, 0), (1, 0), (1, 1), (0, 1)], [FREE] + [FIXED] * 4)
+    res = symmetrization_step(dom, 0.0)
     assert res.case == "case-2"
-    assert res.domain is square_free_bottom
+    assert res.domain is dom
     assert res.ratio_after == res.ratio_before
+    assert res.cut == equal_volume_cut(dom, 0.0)
 
 
-def test_symmetrization_multichord_degenerate():
+def test_symmetrization_multichord_is_inadmissible():
     # U-shaped domain with the notch boundary free: the horizontal equal cut
-    # crosses the free chain in two chords
+    # crosses the free chain in two chords, and no other candidate cut
+    # leaves a union in the class; the domain is returned unchanged
     pts = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
     labels = [FIXED, FIXED, FIXED, FREE, FREE, FREE, FIXED, FIXED]
     dom = LabeledDomain(pts, labels)
-    with pytest.raises(DegenerateCutError):
-        symmetrization_step(dom, 0.0)
+    res = symmetrization_step(dom, 0.0)
+    assert res.case == "inadmissible"
+    assert res.domain is dom and res.ratio_after == res.ratio_before
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2.0] + [(k * GOLDEN_ANGLE) % math.pi
+                                                     for k in range(1, 6)])
+def test_symmetrization_half_disk_is_a_fixed_point(half_disk_domain, theta):
+    # at pi/2 the cut is the axis and the union the half disk again, up to
+    # the nudge; every other cut leaves a convex free corner and is refused
+    res = symmetrization_step(half_disk_domain, theta)
+    assert res.case == ("reflected" if theta == math.pi / 2.0 else "inadmissible")
+    assert res.ratio_after == pytest.approx(res.ratio_before, rel=1e-12, abs=0.0)
+    assert res.domain.area == pytest.approx(half_disk_domain.area, rel=1e-7)
+    assert is_concave_free_boundary(res.domain).concave
+
+
+def test_corner_test_refuses_only_unions_that_leave_the_class():
+    # every candidate cut of 5-step runs that the corner test refuses would
+    # give a valid union whose free chain is not concave
+    refused = 0
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            current = domains.random_concave_domain(rng)
+            for step in range(1, 6):
+                theta = (step * GOLDEN_ANGLE) % math.pi
+                for k in range(geometry._CUT_TRIES):
+                    cut = equal_volume_cut(current, theta + k * GOLDEN_ANGLE)
+                    d = cut.signed_distance(current.vertices)
+                    if np.min(np.abs(d)) < 1e-11 * current.diameter:
+                        continue
+                    above, below = geometry._fixed_length_split(current, d)
+                    half = geometry._reflected_half(current.vertices, current.labels, cut,
+                                                    d if above <= below else -d)
+                    if half is None or geometry._reflected_union(current, cut, d) is not None:
+                        continue
+                    try:
+                        union = LabeledDomain(*half)
+                    except DomainValidationError:
+                        continue
+                    assert not is_concave_free_boundary(union).concave
+                    refused += 1
+                result = symmetrization_step(current, theta)
+                if result.case == "inadmissible":
+                    break
+                current = result.domain
+    assert refused >= 50
 
 
 def test_symmetrization_rejects_holes():

@@ -231,7 +231,8 @@ def test_counterexample_not_concave():
     dom = counterexample_domain(CounterexampleSpec(a=3.0))
     rep = is_concave_free_boundary(dom)
     assert not rep.concave
-    assert rep.witness is not None
+    # the region between the sampled parabola and its chord lies inside
+    assert rep.overlap == pytest.approx(1.3330078125, rel=1e-9)
 
 
 def test_counterexample_spec_validation():
