@@ -648,7 +648,7 @@ def random_admissible_field(domain: LabeledDomain, h: float,
     if grid is None:
         grid = rasterize(domain, h)
     X, Y = grid.cell_centers()
-    pts = np.column_stack([X.ravel(), Y.ravel()])
+    pts = grid.inside_centers
     diam = domain.diameter
     vals = np.zeros(len(pts))
     for _ in range(3):
@@ -664,8 +664,10 @@ def random_admissible_field(domain: LabeledDomain, h: float,
         r2 = ((pts - c) ** 2).sum(axis=1)
         vals += amp * np.exp(-0.5 * r2 / sigma**2)
     if domain.boundary_length(FIXED) > 0.0:
-        dist = grid.fixed_distance.ravel()
+        dist = grid.fixed_distance[grid.mask]
         w = 0.15 * math.sqrt(domain.area)
         s = np.clip(dist / w, 0.0, 1.0)
         vals *= s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-    return ScalarField(grid, vals.reshape(X.shape))
+    out = np.zeros(grid.shape)
+    out[grid.mask] = vals
+    return ScalarField(grid, out)

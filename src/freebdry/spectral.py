@@ -4,26 +4,29 @@ The five-point Laplacian is assembled over the inside cells of a rasterized
 domain.  Faces toward the outside contribute according to their label:
 
 * fixed faces pin the value to zero *at the face* (mirrored ghost), adding
-  2/h^2 to the diagonal -- this keeps the discrete eigenvalues second-order
-  accurate in h;
+  2/h^2 to the diagonal.  On a staircase of a curved fixed boundary this is
+  not second order: on the half disk the error against j01^2 is +3.2e-3,
+  +1.4e-3, +4.1e-4 and +3.8e-4 at h = 1/40 to 1/320 (ROADMAP item 17);
 * free faces mirror the value evenly (natural/Neumann), adding nothing.
 
-The smallest eigenvalue comes from inverse power iteration with a sparse LU
-factorization reused across iterations, started from a seeded random
-positive vector so runs are reproducible.  The comparison value is the
-half-ball reference: half the first Dirichlet eigenvalue of the equal-area
-disk, which an even reflection identifies with the half-disk whose flat face
-is free.
+The smallest eigenpair starts from a seeded random positive vector, so runs
+are reproducible: inverse power iteration on a sparse LU of the whole
+operator up to ``_DIRECT_MAX`` unknowns, else LOBPCG preconditioned by a
+smoothed-aggregation V-cycle that factors only its coarsest level.  The
+comparison value is the half-ball reference: half the first Dirichlet
+eigenvalue of the equal-area disk, which an even reflection identifies with
+the half-disk whose flat face is free.
 
 ``eig`` is the only campaign that needs scipy (``scipy.sparse`` for the
-operator and its LU, ``scipy.special`` for the Bessel zero), so this module
-imports it inside the functions that use it: a process loads scipy on its
-first ``eig``, and every other campaign starts without it.
+operator, its LU and LOBPCG, ``scipy.special`` for the Bessel zero), so this
+module imports it inside the functions that use it: a process loads scipy on
+its first ``eig``, and every other campaign starts without it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -48,6 +51,10 @@ if TYPE_CHECKING:
 _TOL = 1e-8
 _MAX_ITER = 500
 _SEED = 0x5EED
+# above _DIRECT_MAX unknowns: multigrid to _COARSEST, LOBPCG to _MG_TOL / h^2
+_DIRECT_MAX = 16384
+_COARSEST = 2000
+_MG_TOL = 1e-9
 
 __all__ = [
     "SpectralProblem",
@@ -106,20 +113,21 @@ def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
 
 
 def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, int]:
-    """Smallest eigenvalue by inverse power iteration.
+    """Smallest eigenpair: inverse power iteration up to ``_DIRECT_MAX``
+    unknowns, multigrid-preconditioned LOBPCG (``_multigrid``) above.
 
-    The operator is factorized once (sparse LU) and each iteration applies
-    the inverse; the Rayleigh quotient is monitored until its relative change
-    drops below ``_TOL``, for at most ``_MAX_ITER`` iterations.  The operator is symmetric and diagonally dominant,
-    so the factor takes a symmetric fill-reducing ordering (minimum degree on
-    A^T + A) and pivots on the diagonal.  Requires at least one fixed face,
-    which makes the operator positive definite.  Returns (eigenvalue,
-    eigenvector, iterations).
-    """
+    The inverse iteration factorizes the operator once (sparse LU, symmetric
+    minimum-degree ordering on A^T + A, diagonal pivots) and stops when the
+    Rayleigh quotient's relative change drops below ``_TOL``.  Either path
+    raises ``ConvergenceError`` after ``_MAX_ITER`` iterations.  Requires a
+    fixed face, which makes the operator positive definite.  Returns
+    (eigenvalue, eigenvector with a positive sum, iterations)."""
     if not problem.grid.fixed_cells.any():
         raise PreconditionError(
             "operator is singular without any fixed boundary face"
         )
+    if problem.size > _DIRECT_MAX:
+        return _multigrid(problem)
     from scipy.sparse.linalg import splu
 
     A = problem.matrix.tocsc()
@@ -145,6 +153,56 @@ def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, in
         f"inverse iteration did not converge in {_MAX_ITER} steps "
         f"(last eigenvalue {lam_old:.6g}, residual {residual:.3g})"
     )
+
+
+def _multigrid(problem: SpectralProblem) -> tuple[float, np.ndarray, int]:
+    """LOBPCG preconditioned by one smoothed-aggregation V-cycle: 2x2 cell
+    aggregates, P = (I - omega D^-1 A) T, Galerkin P^T A P down to a factored
+    coarsest level, and damped Jacobi sweeps, one down and two up."""
+    from scipy import sparse
+    from scipy.sparse.linalg import lobpcg, splu
+
+    A = coarse = problem.matrix.tocsr()
+    ii, jj = np.nonzero(problem.grid.mask)
+    levels = []
+    while coarse.shape[0] > _COARSEST:
+        ii, jj, width = ii // 2, jj // 2, jj.max() // 2 + 1
+        keys, agg = np.unique(ii * width + jj, return_inverse=True)
+        T = sparse.csr_matrix((1.0 / np.sqrt(np.bincount(agg)[agg]), (np.arange(len(agg)), agg)))
+        # omega = 4/(3 rho) with rho(D^-1 A) <= 2 (Gershgorin, diagonal dominance)
+        D = sparse.diags((2.0 / 3.0) / coarse.diagonal())
+        P = (T - D @ (coarse @ T)).tocsr()
+        levels.append((coarse, P, D))
+        coarse = P.T.tocsr() @ (coarse @ P)
+        ii, jj = np.divmod(keys, width)
+    lu = splu(coarse.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    tol = _MG_TOL / problem.grid.h**2
+    x0 = np.random.default_rng(_SEED).uniform(0.5, 1.5, (problem.size, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the residual is checked below
+        _, X, history = lobpcg(A, x0, M=lambda r: _vcycle(levels, lu, r), tol=tol,
+                               maxiter=_MAX_ITER, largest=False, retResidualNormsHistory=True)
+    x = X[:, 0] / np.linalg.norm(X[:, 0])
+    lam = float(x @ (A @ x))
+    residual = float(np.linalg.norm(A @ x - lam * x))
+    if not residual <= tol:
+        raise ConvergenceError(f"LOBPCG did not converge in {_MAX_ITER} steps "
+                               f"(last eigenvalue {lam:.6g}, residual {residual:.3g})")
+    # history: the start's residual, one per step, and the final Rayleigh-Ritz one
+    return lam, (-x if x.sum() < 0 else x), len(history) - 2
+
+
+def _vcycle(levels, lu, r, k=0):
+    # a module function: a nested one calling itself would be a reference
+    # cycle, keeping the hierarchy alive until the cyclic collector runs
+    if k == len(levels):
+        return lu.solve(r)
+    A, P, D = levels[k]
+    x = D @ r
+    x += P @ _vcycle(levels, lu, P.T @ (r - A @ x), k + 1)
+    for _ in range(2):
+        x += D @ (r - A @ x)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 from scipy.special import j0 as scipy_j0, jn_zeros
 
@@ -260,8 +261,87 @@ def test_factor_fill_below_colamd(monkeypatch):
 
     # principal_frequency imports splu when it runs, so patch it at its source
     monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
-    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
+    # the direct path factors the whole operator
+    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 64)
+    assert problem.size <= spectral._DIRECT_MAX
     principal_frequency(problem)
     (lu,) = factors
     colamd = splu(problem.matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    # the multigrid path factors its coarsest level only
+    factors.clear()
+    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
+    assert problem.size > spectral._DIRECT_MAX
+    principal_frequency(problem)
+    (lu,) = factors
+    assert lu.shape[0] <= spectral._COARSEST
+
+
+# -- multigrid path ----------------------------------------------------------------------
+
+def _lu_reference(problem):
+    """The direct path's inverse iteration (same factor, same start vector),
+    run until ||Ax - lambda x|| <= 1e-10 lambda instead of stopping on the
+    Rayleigh quotient's change, which on the annulus's small spectral gap
+    leaves lambda 9e-8 high."""
+    A = problem.matrix.tocsc()
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    x = np.random.default_rng(spectral._SEED).uniform(0.5, 1.5, problem.size)
+    for _ in range(2000):
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+        lam = float(x @ (A @ x))
+        if np.linalg.norm(A @ x - lam * x) <= 1e-10 * lam:
+            return lam, x
+    raise AssertionError("reference inverse iteration did not converge")
+
+
+@pytest.fixture(scope="module")
+def half_disk_128():
+    return assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
+
+
+@pytest.mark.parametrize("name", ["halfdisk-128", "lshape-96", "annulus-96", "random"])
+def test_multigrid_matches_lu_reference(name):
+    if name == "random":
+        dom = domains.random_concave_domain(np.random.default_rng(3))
+        x0, y0, x1, y1 = dom.bbox
+        h = math.sqrt((x1 - x0) * (y1 - y0) / 30000.0)  # about 30,000 cells in the box
+    else:
+        builtin, inv_h = name.rsplit("-", 1)
+        dom, h = domains.builtin_domain(builtin), 1.0 / int(inv_h)
+    problem = assemble(dom, h)
+    assert problem.size > spectral._DIRECT_MAX
+    lam, vec, _ = principal_frequency(problem)
+    lam_ref, vec_ref = _lu_reference(problem)
+    assert abs(lam - lam_ref) <= 1e-9 * lam_ref
+    assert abs(vec @ vec_ref) >= 1.0 - 1e-8
+    assert vec.sum() > 0.0
+
+
+def test_multigrid_deterministic(half_disk_128):
+    lam1, v1, it1 = principal_frequency(half_disk_128)
+    lam2, v2, it2 = principal_frequency(half_disk_128)
+    assert lam1 == lam2 and it1 == it2
+    assert np.array_equal(v1, v2)
+
+
+def test_multigrid_convergence_budget(half_disk_128, monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="did not converge in 2 steps"):
+        principal_frequency(half_disk_128)
+
+
+def test_multigrid_stiff_fixed_faces(half_disk_128):
+    # fixed faces adding 100/h^2 instead of 2/h^2, as pinning zero at a
+    # tenth of a cell from the centre would: D^-1 A keeps its bound of 2
+    grid = half_disk_128.grid
+    fixed_faces = (grid.face_labels[grid.mask] == FACE_FIXED).sum(axis=1)
+    stiff = spectral.SpectralProblem(
+        matrix=(half_disk_128.matrix + diags(49.0 * 2.0 * fixed_faces / grid.h**2)).tocsr(),
+        grid=grid,
+    )
+    lam, vec, _ = principal_frequency(stiff)
+    lam_ref, vec_ref = _lu_reference(stiff)
+    assert abs(lam - lam_ref) <= 1e-9 * lam_ref
+    assert abs(vec @ vec_ref) >= 1.0 - 1e-8
