@@ -326,6 +326,32 @@ def test_multigrid_deterministic(half_disk_128):
     assert np.array_equal(v1, v2)
 
 
+@pytest.mark.parametrize("name, inv_h", [("halfdisk", 128), ("annulus", 96)])
+def test_multigrid_coarse_levels_stay_sparse(name, inv_h, monkeypatch):
+    # 3x3 aggregates keep every coarse level near nine nonzeros a row (8.3
+    # and 8.0 here); 2x2 ones grew the coarsest level's to 34.3 and 33.0
+    coarsest = []
+
+    def recording_splu(A, *args, **kwargs):
+        coarsest.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
+    problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
+    assert problem.size > spectral._DIRECT_MAX
+    principal_frequency(problem)
+    (A,) = coarsest
+    assert A.nnz <= 10 * A.shape[0]
+
+
+@pytest.mark.parametrize("name, inv_h, max_steps", [("halfdisk", 128, 20), ("annulus", 96, 50)])
+def test_multigrid_step_cap(name, inv_h, max_steps):
+    # a weakened V-cycle may still converge within _MAX_ITER; the
+    # preconditioner measured 14 and 39 steps here
+    _, _, steps = principal_frequency(assemble(domains.builtin_domain(name), 1.0 / inv_h))
+    assert steps <= max_steps
+
+
 def test_multigrid_convergence_budget(half_disk_128, monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="did not converge in 2 steps"):

@@ -3,9 +3,10 @@
 Gradients, mirror extensions and the five-point operator all find a cell's
 neighbour through ``geometry._shifted``.  The references below are the
 earlier per-site forms: ``np.roll`` with the wrapped row or column masked
-off, and the operator's bounds-checked gather.  Every array must match its
-reference bit for bit (``np.array_equal``), since the reports are summed
-from them.
+off, and the operator's bounds-checked gather into a COO matrix converted to
+CSR (``assemble`` now writes the CSR arrays directly).  Every array must
+match its reference bit for bit (``np.array_equal``, same dtype), since the
+reports are summed from them.
 """
 
 import numpy as np
@@ -64,7 +65,8 @@ def roll_mirror_extended(mask, quantity):
 
 
 def gather_operator(grid):
-    """The five-point operator with a bounds-checked neighbour gather."""
+    """The five-point operator with a bounds-checked neighbour gather,
+    assembled as COO triplets and converted (sorting the indices) to CSR."""
     mask = grid.mask
     ny, nx = mask.shape
     index = -np.ones((ny, nx), dtype=np.int64)
@@ -95,6 +97,8 @@ def gather_operator(grid):
 def assert_same_csr(a, b):
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    assert a.has_sorted_indices
 
 
 def assert_field_matches(field):
