@@ -1,7 +1,9 @@
 """Principal frequency of a membrane with mixed fixed/free boundary.
 
 The five-point Laplacian is assembled over the inside cells of a rasterized
-domain.  Faces toward the outside contribute according to their label:
+domain, numbered on the flat grid padded by one outside cell, so that a
+cell's neighbours sit at fixed offsets (+-1 and +-(nx + 2)) and none falls
+off the array.  Faces toward the outside contribute according to their label:
 
 * fixed faces pin the value to zero *at the face* (mirrored ghost), adding
   2/h^2 to the diagonal.  On a staircase of a curved fixed boundary this is
@@ -11,22 +13,22 @@ domain.  Faces toward the outside contribute according to their label:
 
 The smallest eigenpair starts from a seeded random positive vector, so runs
 are reproducible: inverse power iteration on a sparse LU of the whole
-operator up to ``_DIRECT_MAX`` unknowns, else LOBPCG preconditioned by a
-smoothed-aggregation V-cycle that factors only its coarsest level.  The
-comparison value is the half-ball reference: half the first Dirichlet
-eigenvalue of the equal-area disk, which an even reflection identifies with
-the half-disk whose flat face is free.
+operator up to ``_DIRECT_MAX`` unknowns, else a single-vector LOBPCG loop
+of this module preconditioned by a smoothed-aggregation V-cycle that factors
+only its coarsest level.  The comparison value is the half-ball reference:
+half the first Dirichlet eigenvalue of the equal-area disk, which an even
+reflection identifies with the half-disk whose flat face is free.
 
 ``eig`` is the only campaign that needs scipy (``scipy.sparse`` for the
-operator, its LU and LOBPCG, ``scipy.special`` for the Bessel zero), so this
-module imports it inside the functions that use it: a process loads scipy on
-its first ``eig``, and every other campaign starts without it.
+operator and its LU, ``scipy.linalg.eigh`` for LOBPCG's 3x3 Rayleigh-Ritz
+step, ``scipy.special`` for the Bessel zero), so this module imports it
+inside the functions that use it: a process loads scipy on its first
+``eig``, and every other campaign starts without it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -39,7 +41,6 @@ from .geometry import (
     FACE_FIXED,
     LabeledDomain,
     RasterGrid,
-    _shifted,
     rasterize,
     require_admissible,
 )
@@ -85,29 +86,31 @@ def assemble(domain: LabeledDomain, h: float) -> SpectralProblem:
     from scipy import sparse
 
     grid = rasterize(domain, h)
-    index = -np.ones(grid.shape, dtype=np.int64)
-    ii, jj = np.nonzero(grid.mask)
-    n = len(ii)
-    index[ii, jj] = np.arange(n)
-    h2 = grid.h * grid.h
+    ny, nx = grid.shape
+    # number the inside cells on the flat grid padded by one outside cell, so
+    # every neighbour is one gather at a fixed offset and never off the array
+    w = nx + 2
+    cells = np.flatnonzero(grid.mask)
+    padded = cells + 2 * (cells // nx) + w + 1
+    index = np.full((ny + 2) * w, -1, dtype=np.int64)
+    n = len(cells)
+    index[padded] = np.arange(n)
 
     # each row's columns in ascending order: S, W, centre, E, N (slots 0-4),
-    # so the CSR arrays come straight from masking an (n, 5) table
-    cols = np.empty((n, 5), dtype=np.int64)
-    cols[:, 2] = np.arange(n)
-    diag = np.zeros(n)
-    for dcode, ((di, dj), slot) in enumerate(zip(_DIRS, (3, 1, 4, 0))):
-        nbr_idx = cols[:, slot] = _shifted(index, di, dj, -1)[ii, jj]
-        interior = nbr_idx >= 0
-        diag[interior] += 1.0
-        face = grid.face_labels[ii, jj, dcode]
-        diag[(~interior) & (face == FACE_FIXED)] += 2.0
-        # free faces mirror the value: no contribution
-    vals = np.full((n, 5), -1.0)
-    vals[:, 2] = diag
+    # so the CSR arrays come straight from masking an (n, 5) table; the
+    # faces of _DIRS (E, W, N, S) sit at slots 3, 1, 4 and 0
+    slots = [3, 1, 4, 0]
+    offsets = np.zeros(5, dtype=np.int64)
+    offsets[slots] = [di * w + dj for di, dj in _DIRS]
+    cols = index[padded[:, None] + offsets]
     present = cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-    A = sparse.csr_matrix((vals[present] / h2, cols[present], indptr), shape=(n, n))
+    # free faces mirror the value: no contribution
+    fixed = (grid.face_labels.reshape(-1, 4)[cells] == FACE_FIXED) & ~present[:, slots]
+    row_nnz = present.sum(axis=1)
+    vals = np.full((n, 5), -1.0)
+    vals[:, 2] = row_nnz - 1 + 2 * fixed.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    A = sparse.csr_matrix((vals[present] / (grid.h * grid.h), cols[present], indptr), shape=(n, n))
     return SpectralProblem(matrix=A, grid=grid)
 
 
@@ -155,41 +158,96 @@ def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, in
 
 
 def _multigrid(problem: SpectralProblem) -> tuple[float, np.ndarray, int]:
-    """LOBPCG preconditioned by one smoothed-aggregation V-cycle: 3x3 cell
-    aggregates (every coarse level keeps about nine nonzeros a row), P =
-    (I - omega D^-1 A) T, Galerkin P^T A P down to a factored coarsest level,
-    and damped Jacobi sweeps, one down and two up."""
+    """Single-vector LOBPCG (``_lobpcg``) preconditioned by one
+    smoothed-aggregation V-cycle: 3x3 cell aggregates (every coarse level
+    keeps about nine nonzeros a row), P = (I - omega D^-1 A) T, Galerkin
+    P^T A P down to a factored coarsest level, and damped Jacobi sweeps, one
+    down and two up.  Each level's aggregates are numbered from a boolean
+    table over its coarse box, T is written straight into CSR (one entry a
+    row), and the Jacobi diagonal is kept as a vector."""
     from scipy import sparse
-    from scipy.sparse.linalg import lobpcg, splu
+    from scipy.sparse.linalg import splu
 
     A = coarse = problem.matrix.tocsr()
     ii, jj = np.nonzero(problem.grid.mask)
     levels = []
     while coarse.shape[0] > _COARSEST:
-        ii, jj, width = ii // 3, jj // 3, jj.max() // 3 + 1
-        keys, agg = np.unique(ii * width + jj, return_inverse=True)
-        T = sparse.csr_matrix((1.0 / np.sqrt(np.bincount(agg)[agg]), (np.arange(len(agg)), agg)))
+        # aggregates numbered row by row over the coarse box, without a sort
+        ii, jj = ii // 3, jj // 3
+        box = np.zeros((ii.max() + 1, jj.max() + 1), dtype=bool)
+        box[ii, jj] = True
+        agg = (np.cumsum(box) - 1)[ii * box.shape[1] + jj]
+        T = sparse.csr_matrix((1.0 / np.sqrt(np.bincount(agg)[agg]), agg, np.arange(len(agg) + 1)))
         # omega = 4/(3 rho) with rho(D^-1 A) <= 2 (Gershgorin, diagonal dominance)
-        D = sparse.diags((2.0 / 3.0) / coarse.diagonal())
-        P = (T - D @ (coarse @ T)).tocsr()
-        levels.append((coarse, P, D))
+        d = (2.0 / 3.0) / coarse.diagonal()
+        AT = coarse @ T
+        AT.data *= np.repeat(d, np.diff(AT.indptr))
+        P = T - AT
+        levels.append((coarse, P, d))
         coarse = P.T.tocsr() @ (coarse @ P)
-        ii, jj = np.divmod(keys, width)
+        ii, jj = np.nonzero(box)
     lu = splu(coarse.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    tol = _MG_TOL / problem.grid.h**2
-    x0 = np.random.default_rng(_SEED).uniform(0.5, 1.5, (problem.size, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the residual is checked below
-        _, X, history = lobpcg(A, x0, M=lambda r: _vcycle(levels, lu, r), tol=tol,
-                               maxiter=_MAX_ITER, largest=False, retResidualNormsHistory=True)
-    x = X[:, 0] / np.linalg.norm(X[:, 0])
-    lam = float(x @ (A @ x))
-    residual = float(np.linalg.norm(A @ x - lam * x))
-    if not residual <= tol:
-        raise ConvergenceError(f"LOBPCG did not converge in {_MAX_ITER} steps "
-                               f"(last eigenvalue {lam:.6g}, residual {residual:.3g})")
-    # history: the start's residual, one per step, and the final Rayleigh-Ritz one
-    return lam, (-x if x.sum() < 0 else x), len(history) - 2
+    x0 = np.random.default_rng(_SEED).uniform(0.5, 1.5, problem.size)
+    lam, x, steps = _lobpcg(A, lambda r: _vcycle(levels, lu, r), x0, _MG_TOL / problem.grid.h**2)
+    return lam, (-x if x.sum() < 0 else x), steps
+
+
+def _lobpcg(A, precondition, x0, tol):
+    """Smallest eigenpair of the symmetric positive definite ``A`` by
+    single-vector LOBPCG (Knyazev 2001) from the start ``x0``.
+
+    Each step applies ``precondition`` to the residual, giving w, and takes
+    the Ritz vector of the smallest Ritz value of A on span(x, w, p) (a 3x3
+    generalized eigenproblem; p, the previous update, is absent on the first
+    step).  Stops once ``||Ax - lambda x|| <= tol`` for the normalized x and
+    a fresh ``A @ x``; raises ``ConvergenceError`` after ``_MAX_ITER``
+    steps.  Returns (lambda, x, steps taken)."""
+    from scipy.linalg import eigh
+
+    S = np.zeros((3, len(x0)))  # rows x, w, p
+    AS = np.zeros_like(S)       # and their images under A
+    x, w, p = S
+    ax, aw, ap = AS
+    r = np.empty_like(x)
+    np.divide(x0, np.linalg.norm(x0), out=x)
+    ax[:] = A @ x
+    lam, k = x @ ax, 2
+    for step in range(_MAX_ITER + 1):
+        np.subtract(ax, np.multiply(x, lam, out=r), out=r)
+        if step == _MAX_ITER or np.linalg.norm(r) <= tol:
+            # the images drift from A @ x as the steps combine them
+            x /= np.linalg.norm(x)
+            ax[:] = A @ x
+            lam = x @ ax
+            residual = np.linalg.norm(np.subtract(ax, np.multiply(x, lam, out=r), out=r))
+            if residual <= tol:
+                return float(lam), x.copy(), step
+            if step == _MAX_ITER:
+                break
+        t = precondition(r)
+        np.divide(t, np.linalg.norm(t), out=w)
+        aw[:] = A @ w
+        # the upper triangles by single dot products: a (k, n) @ (n, k)
+        # product runs several times slower
+        H, G = np.zeros((k, k)), np.zeros((k, k))
+        for j in range(k):
+            for i in range(j + 1):
+                H[i, j], G[i, j] = S[i] @ AS[j], S[i] @ S[j]
+        ritz, C = eigh(H, G, lower=False)
+        c = np.zeros(3)
+        c[:k] = C[:, 0]
+        for V in (S, AS):
+            V[1] *= c[1]  # p = c1 w + c2 p, then x = c0 x + p
+            V[2] *= c[2]
+            V[2] += V[1]
+            V[0] *= c[0]
+            V[0] += V[2]
+        scale = 1.0 / np.linalg.norm(p)
+        p *= scale
+        ap *= scale
+        lam, k = ritz[0], 3
+    raise ConvergenceError(f"LOBPCG did not converge in {_MAX_ITER} steps "
+                           f"(last eigenvalue {lam:.6g}, residual {residual:.3g})")
 
 
 def _vcycle(levels, lu, r, k=0):
@@ -197,11 +255,11 @@ def _vcycle(levels, lu, r, k=0):
     # cycle, keeping the hierarchy alive until the cyclic collector runs
     if k == len(levels):
         return lu.solve(r)
-    A, P, D = levels[k]
-    x = D @ r
+    A, P, d = levels[k]
+    x = d * r
     x += P @ _vcycle(levels, lu, P.T @ (r - A @ x), k + 1)
     for _ in range(2):
-        x += D @ (r - A @ x)
+        x += d * (r - A @ x)
     return x
 
 

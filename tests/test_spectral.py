@@ -352,6 +352,47 @@ def test_multigrid_step_cap(name, inv_h, max_steps):
     assert steps <= max_steps
 
 
+# (lambda, LOBPCG steps) from scipy's lobpcg on the same hierarchy, before the
+# in-module loop replaced it
+_EIG_MULTIGRID = {
+    ("halfdisk", 128): (5.79167850569391, 14),
+    ("annulus", 96): (35.68956649602541, 39),
+}
+
+
+@pytest.mark.parametrize("name, inv_h", sorted(_EIG_MULTIGRID))
+def test_multigrid_loop_steps_and_residual(name, inv_h, monkeypatch):
+    top_level_cycles = 0
+    vcycle = spectral._vcycle
+
+    def counting_vcycle(levels, lu, r, k=0):
+        nonlocal top_level_cycles
+        top_level_cycles += k == 0
+        return vcycle(levels, lu, r, k)
+
+    monkeypatch.setattr(spectral, "_vcycle", counting_vcycle)
+    problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
+    assert problem.size > spectral._DIRECT_MAX
+    lam, vec, steps = principal_frequency(problem)
+    # one preconditioner application a step
+    assert steps == top_level_cycles
+    A = problem.matrix
+    assert np.linalg.norm(A @ vec - lam * vec) <= spectral._MG_TOL / problem.grid.h**2
+    lam_ref, steps_ref = _EIG_MULTIGRID[name, inv_h]
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+    assert steps == steps_ref
+
+
+@pytest.mark.xfail(strict=True, reason="the LU path stops on the Rayleigh quotient's "
+                   "change, which the annulus's small spectral gap leaves 8.9e-8 high")
+def test_direct_path_reaches_converged_eigenvalue():
+    problem = assemble(domains.builtin_domain("annulus"), 1.0 / 64)
+    assert problem.size <= spectral._DIRECT_MAX
+    lam, _, _ = principal_frequency(problem)
+    lam_ref, _ = _lu_reference(problem)
+    assert abs(lam - lam_ref) <= 1e-9 * lam_ref
+
+
 def test_multigrid_convergence_budget(half_disk_128, monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="did not converge in 2 steps"):

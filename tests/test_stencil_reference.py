@@ -1,10 +1,11 @@
 """The neighbour stencil on ``_DIRS`` against the per-site code it replaced.
 
-Gradients, mirror extensions and the five-point operator all find a cell's
-neighbour through ``geometry._shifted``.  The references below are the
-earlier per-site forms: ``np.roll`` with the wrapped row or column masked
-off, and the operator's bounds-checked gather into a COO matrix converted to
-CSR (``assemble`` now writes the CSR arrays directly).  Every array must
+Gradients and mirror extensions find a cell's neighbour through
+``geometry._shifted``; the five-point operator gathers it on the flat grid
+padded by one outside cell.  The references below are the earlier per-site
+forms: ``np.roll`` with the wrapped row or column masked off, and the
+operator's bounds-checked gather into a COO matrix converted to CSR
+(``assemble`` now writes the CSR arrays directly).  Every array must
 match its reference bit for bit (``np.array_equal``, same dtype), since the
 reports are summed from them.
 """
