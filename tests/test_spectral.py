@@ -234,13 +234,14 @@ def test_convergence_budget(square_problem, monkeypatch):
 
 # -- factorization --------------------------------------------------------------
 
-# (lambda, iterations) at h = 1/64 from the COLAMD-ordered factor
+# (lambda, LOBPCG steps) at h = 1/64, each lambda within 2.3e-15 relative of
+# inverse iteration run to ||Ax - lambda x|| <= 1e-11 lambda
 _EIG_H64 = {
-    "halfdisk": (5.782294610595876, 7),
-    "square-bottom-free": (12.334900019756024, 10),
-    "lshape": (9.629857929721721, 13),
-    "trapezoid": (3.689463507075798, 9),
-    "annulus": (35.64882461001797, 19),
+    "halfdisk": (5.782294610216703, 7),
+    "square-bottom-free": (12.334900007922776, 8),
+    "lshape": (9.629857919707174, 9),
+    "trapezoid": (3.6894635061749286, 8),
+    "annulus": (35.64882142134043, 19),
 }
 
 
@@ -261,14 +262,14 @@ def test_factor_fill_below_colamd(monkeypatch):
 
     # principal_frequency imports splu when it runs, so patch it at its source
     monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
-    # the direct path factors the whole operator
+    # at or below _DIRECT_MAX unknowns the whole operator is factored
     problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 64)
     assert problem.size <= spectral._DIRECT_MAX
     principal_frequency(problem)
     (lu,) = factors
     colamd = splu(problem.matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
-    # the multigrid path factors its coarsest level only
+    # above it, the coarsest level only
     factors.clear()
     problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
     assert problem.size > spectral._DIRECT_MAX
@@ -277,13 +278,12 @@ def test_factor_fill_below_colamd(monkeypatch):
     assert lu.shape[0] <= spectral._COARSEST
 
 
-# -- multigrid path ----------------------------------------------------------------------
+# -- LOBPCG against an independent reference; the coarse hierarchy ---------------------
 
 def _lu_reference(problem):
-    """The direct path's inverse iteration (same factor, same start vector),
-    run until ||Ax - lambda x|| <= 1e-10 lambda instead of stopping on the
-    Rayleigh quotient's change, which on the annulus's small spectral gap
-    leaves lambda 9e-8 high."""
+    """Inverse iteration on a sparse LU of the whole operator from the
+    solver's start vector, run until ||Ax - lambda x|| <= 1e-10 lambda: an
+    eigenpair that shares no code with the LOBPCG loop."""
     A = problem.matrix.tocsc()
     lu = splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     x = np.random.default_rng(spectral._SEED).uniform(0.5, 1.5, problem.size)
@@ -301,17 +301,22 @@ def half_disk_128():
     return assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
 
 
-@pytest.mark.parametrize("name", ["halfdisk-128", "lshape-96", "annulus-96", "random"])
-def test_multigrid_matches_lu_reference(name):
-    if name == "random":
+# both sides of _DIRECT_MAX: every builtin at h = 1/64 (the annulus's small
+# spectral gap included) and a generated domain of about 6,000 box cells
+# factor the whole operator; the rest run a coarse hierarchy
+@pytest.mark.parametrize("name", [
+    "halfdisk-64", "square-bottom-free-64", "lshape-64", "trapezoid-64", "annulus-64",
+    "random-6000", "halfdisk-128", "lshape-96", "annulus-96", "random-30000",
+])
+def test_matches_lu_reference(name):
+    kind, size = name.rsplit("-", 1)
+    if kind == "random":
         dom = domains.random_concave_domain(np.random.default_rng(3))
         x0, y0, x1, y1 = dom.bbox
-        h = math.sqrt((x1 - x0) * (y1 - y0) / 30000.0)  # about 30,000 cells in the box
+        h = math.sqrt((x1 - x0) * (y1 - y0) / int(size))  # about `size` cells in the box
     else:
-        builtin, inv_h = name.rsplit("-", 1)
-        dom, h = domains.builtin_domain(builtin), 1.0 / int(inv_h)
+        dom, h = domains.builtin_domain(kind), 1.0 / int(size)
     problem = assemble(dom, h)
-    assert problem.size > spectral._DIRECT_MAX
     lam, vec, _ = principal_frequency(problem)
     lam_ref, vec_ref = _lu_reference(problem)
     assert abs(lam - lam_ref) <= 1e-9 * lam_ref
@@ -377,20 +382,10 @@ def test_multigrid_loop_steps_and_residual(name, inv_h, monkeypatch):
     # one preconditioner application a step
     assert steps == top_level_cycles
     A = problem.matrix
-    assert np.linalg.norm(A @ vec - lam * vec) <= spectral._MG_TOL / problem.grid.h**2
+    assert np.linalg.norm(A @ vec - lam * vec) <= spectral._TOL / problem.grid.h**2
     lam_ref, steps_ref = _EIG_MULTIGRID[name, inv_h]
     assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
     assert steps == steps_ref
-
-
-@pytest.mark.xfail(strict=True, reason="the LU path stops on the Rayleigh quotient's "
-                   "change, which the annulus's small spectral gap leaves 8.9e-8 high")
-def test_direct_path_reaches_converged_eigenvalue():
-    problem = assemble(domains.builtin_domain("annulus"), 1.0 / 64)
-    assert problem.size <= spectral._DIRECT_MAX
-    lam, _, _ = principal_frequency(problem)
-    lam_ref, _ = _lu_reference(problem)
-    assert abs(lam - lam_ref) <= 1e-9 * lam_ref
 
 
 def test_multigrid_convergence_budget(half_disk_128, monkeypatch):
