@@ -130,7 +130,7 @@ def cmd_isoperim(args) -> int:
     for k, dom in enumerate(doms):
         conc = require_admissible(dom)
         rep = isoperimetric_report(dom)
-        reports.append({"index": k, **asdict(rep), "concave": conc.concave, "vacuous": conc.vacuous})
+        reports.append({"index": k, **asdict(rep), "vacuous": conc.vacuous})
         if rep.margin < -ISOPERIM_SLACK * rep.bound:
             failures.append({"index": k, "margin": rep.margin})
     payload = {"command": "isoperim", "reports": reports, "failures": failures}

@@ -78,10 +78,12 @@ def _next(a: np.ndarray) -> np.ndarray:
 
 
 def _signed_area(pts: np.ndarray) -> float:
-    """Signed area of a polygon (positive counterclockwise), by the
-    shoelace.  The one polygon-area helper."""
-    x, y = pts[:, 0], pts[:, 1]
-    x1, y1 = _next(pts).T
+    """Signed area of a polygon (positive counterclockwise), by the shoelace
+    from the first vertex, which keeps its precision far from the origin.
+    The one polygon-area helper."""
+    rel = pts - pts[0]
+    x, y = rel.T
+    x1, y1 = _next(rel).T
     return 0.5 * float(np.sum(x * y1 - x1 * y))
 
 
@@ -808,10 +810,12 @@ def _exact_concavity(domain: LabeledDomain) -> ConcavityReport:
     if not len(chain):
         return ConcavityReport(concave=True, vacuous=True)
     edges = domain._edges
-    hull = _convex_hull(np.vstack([edges.start[chain], edges.end[chain[-1:]]])).tolist()
-    overlap = _hull_overlap(domain.vertices.tolist(), hull)
+    # clipped from the first vertex, as the shoelace is, to keep its precision
+    origin = domain.vertices[0]
+    hull = _convex_hull(np.vstack([edges.start[chain], edges.end[chain[-1:]]]) - origin).tolist()
+    overlap = _hull_overlap((domain.vertices - origin).tolist(), hull)
     for hole in domain.holes:
-        overlap -= _hull_overlap(hole.tolist(), hull)
+        overlap -= _hull_overlap((hole - origin).tolist(), hull)
     return ConcavityReport(concave=overlap <= 1e-12 * domain.diameter ** 2, overlap=overlap)
 
 

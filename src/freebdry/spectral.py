@@ -14,8 +14,8 @@ off the array.  Faces toward the outside contribute according to their label:
 The smallest eigenpair comes from a single-vector LOBPCG loop of this
 module, started from a seeded random positive vector so that runs are
 reproducible, and preconditioned by a smoothed-aggregation V-cycle that
-factors only its coarsest level, which up to ``_DIRECT_MAX`` unknowns is
-the whole operator.  The comparison value is the half-ball reference:
+factors only its coarsest level, of at most ``_COARSEST`` unknowns: the
+whole operator if no larger.  The comparison value is the half-ball reference:
 half the first Dirichlet eigenvalue of the equal-area disk, which an even
 reflection identifies with the half-disk whose flat face is free.
 
@@ -52,9 +52,7 @@ if TYPE_CHECKING:
 _MAX_ITER = 500
 _SEED = 0x5EED
 _TOL = 1e-9
-# above _DIRECT_MAX unknowns, coarsen down to _COARSEST before factoring
-_DIRECT_MAX = 16384
-_COARSEST = 2000
+_COARSEST = 2000  # coarsen until at most this many unknowns are left to factor
 
 __all__ = [
     "SpectralProblem",
@@ -121,13 +119,12 @@ def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, in
     (``_vcycle``) that factors only its coarsest level (sparse LU, symmetric
     minimum-degree ordering on A^T + A, diagonal pivots, small supernodes).
 
-    Above ``_DIRECT_MAX`` unknowns smoothed aggregation builds the levels
-    down to ``_COARSEST``: 3x3 cell aggregates (every level keeps about nine
-    nonzeros a row), P = (I - omega D^-1 A) T, Galerkin P^T A P, and damped
-    Jacobi sweeps, one down and two up.  At or below it there is no coarse
-    level: the V-cycle is a solve with the whole operator's LU.  Raises
-    ``ConvergenceError`` after ``_MAX_ITER`` steps.  Requires a fixed face,
-    which makes the operator positive definite.  Returns (eigenvalue,
+    Smoothed aggregation coarsens until at most ``_COARSEST`` unknowns are
+    left (a smaller operator is factored whole): 3x3 cell aggregates, each
+    level keeping about nine nonzeros a row, P = (I - omega D^-1 A) T,
+    Galerkin P^T A P, and damped Jacobi sweeps, one down and two up.
+    Raises ``ConvergenceError`` after ``_MAX_ITER`` steps.  Requires a fixed
+    face, which makes the operator positive definite.  Returns (eigenvalue,
     eigenvector with a positive sum, LOBPCG steps)."""
     if not problem.grid.fixed_cells.any():
         raise PreconditionError(
@@ -137,10 +134,9 @@ def principal_frequency(problem: SpectralProblem) -> tuple[float, np.ndarray, in
     from scipy.sparse.linalg import splu
 
     A = coarse = problem.matrix.tocsr()
-    coarsest = _COARSEST if problem.size > _DIRECT_MAX else problem.size
     ii, jj = np.nonzero(problem.grid.mask)
     levels = []
-    while coarse.shape[0] > coarsest:
+    while coarse.shape[0] > _COARSEST:
         # aggregates numbered row by row over the coarse box, without a sort
         ii, jj = ii // 3, jj // 3
         box = np.zeros((ii.max() + 1, jj.max() + 1), dtype=bool)

@@ -471,10 +471,10 @@ def test_csv_report_format(tmp_path):
                     "--quiet", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "index,ratio,bound,margin,area,fixed_length,concave,vacuous"
+    assert lines[0] == "index,ratio,bound,margin,area,fixed_length,vacuous"
     cells = lines[1].split(",")
     assert float(cells[1]) == pytest.approx(3.0)
-    assert cells[6] == "true"
+    assert cells[6] == "false"
 
 
 def test_csv_counterexample_format(tmp_path):

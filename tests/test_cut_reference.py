@@ -60,6 +60,8 @@ from freebdry.geometry import (
 
 
 def reference_signed_area(pts):
+    # relative to the first vertex, as the shoelace far from the origin needs
+    pts = pts - pts[0]
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 

@@ -207,13 +207,6 @@ def test_randomized_concave_suite_margin():
 
 # -- solver plumbing ---------------------------------------------------------------------
 
-def test_deterministic_given_seed(square_free_problem):
-    lam1, v1, it1 = principal_frequency(square_free_problem)
-    lam2, v2, it2 = principal_frequency(square_free_problem)
-    assert lam1 == lam2 and it1 == it2
-    assert np.array_equal(v1, v2)
-
-
 def test_no_fixed_face_rejected():
     # all-free square: pure Neumann operator is singular
     pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -225,23 +218,17 @@ def test_no_fixed_face_rejected():
         principal_frequency(prob)
 
 
-def test_convergence_budget(square_problem, monkeypatch):
-    monkeypatch.setattr(spectral, "_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError, match="did not converge in 2 steps"):
-        principal_frequency(square_problem)
-
-
-
 # -- factorization --------------------------------------------------------------
 
-# (lambda, LOBPCG steps) at h = 1/64, each lambda within 2.3e-15 relative of
-# inverse iteration run to ||Ax - lambda x|| <= 1e-11 lambda
+# (lambda, LOBPCG steps) at h = 1/64, where every builtin has coarse levels;
+# each lambda within 3.1e-15 relative of inverse iteration run to
+# ||Ax - lambda x|| <= 1e-11 lambda
 _EIG_H64 = {
-    "halfdisk": (5.782294610216703, 7),
-    "square-bottom-free": (12.334900007922776, 8),
-    "lshape": (9.629857919707174, 9),
-    "trapezoid": (3.6894635061749286, 8),
-    "annulus": (35.64882142134043, 19),
+    "halfdisk": (5.782294610216687, 12),
+    "square-bottom-free": (12.33490000792279, 13),
+    "lshape": (9.629857919707147, 15),
+    "trapezoid": (3.6894635061749437, 12),
+    "annulus": (35.64882142134044, 35),
 }
 
 
@@ -262,17 +249,18 @@ def test_factor_fill_below_colamd(monkeypatch):
 
     # principal_frequency imports splu when it runs, so patch it at its source
     monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
-    # at or below _DIRECT_MAX unknowns the whole operator is factored
-    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 64)
-    assert problem.size <= spectral._DIRECT_MAX
+    # at most _COARSEST unknowns: the whole operator is factored (1,614
+    # unknowns, 0.667 of COLAMD's fill)
+    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 32)
+    assert problem.size <= spectral._COARSEST
     principal_frequency(problem)
     (lu,) = factors
     colamd = splu(problem.matrix.tocsc())
     assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
-    # above it, the coarsest level only
+    # above it, the coarsest level only (759 of 6,446 unknowns)
     factors.clear()
-    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
-    assert problem.size > spectral._DIRECT_MAX
+    problem = assemble(domains.builtin_domain("halfdisk"), 1.0 / 64)
+    assert problem.size > spectral._COARSEST
     principal_frequency(problem)
     (lu,) = factors
     assert lu.shape[0] <= spectral._COARSEST
@@ -301,11 +289,12 @@ def half_disk_128():
     return assemble(domains.builtin_domain("halfdisk"), 1.0 / 128)
 
 
-# both sides of _DIRECT_MAX: every builtin at h = 1/64 (the annulus's small
-# spectral gap included) and a generated domain of about 6,000 box cells
-# factor the whole operator; the rest run a coarse hierarchy
+# both sides of _COARSEST: the half disk (1,614 unknowns) and the
+# square-bottom-free (1,024) at h = 1/32 factor the whole operator; the other
+# builtins at h = 1/32 (3,072 each, the annulus's small spectral gap included)
+# and the rest run a coarse hierarchy
 @pytest.mark.parametrize("name", [
-    "halfdisk-64", "square-bottom-free-64", "lshape-64", "trapezoid-64", "annulus-64",
+    "halfdisk-32", "square-bottom-free-32", "lshape-32", "trapezoid-32", "annulus-32",
     "random-6000", "halfdisk-128", "lshape-96", "annulus-96", "random-30000",
 ])
 def test_matches_lu_reference(name):
@@ -324,9 +313,15 @@ def test_matches_lu_reference(name):
     assert vec.sum() > 0.0
 
 
-def test_multigrid_deterministic(half_disk_128):
-    lam1, v1, it1 = principal_frequency(half_disk_128)
-    lam2, v2, it2 = principal_frequency(half_disk_128)
+# one input with no coarse level (1,024 unknowns), one with coarse levels
+_ONE_AND_MANY_LEVELS = pytest.mark.parametrize("name, inv_h", [("square", 32), ("halfdisk", 128)])
+
+
+@_ONE_AND_MANY_LEVELS
+def test_multigrid_deterministic(name, inv_h):
+    problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
+    lam1, v1, it1 = principal_frequency(problem)
+    lam2, v2, it2 = principal_frequency(problem)
     assert lam1 == lam2 and it1 == it2
     assert np.array_equal(v1, v2)
 
@@ -343,7 +338,7 @@ def test_multigrid_coarse_levels_stay_sparse(name, inv_h, monkeypatch):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
     problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
-    assert problem.size > spectral._DIRECT_MAX
+    assert problem.size > spectral._COARSEST
     principal_frequency(problem)
     (A,) = coarsest
     assert A.nnz <= 10 * A.shape[0]
@@ -377,7 +372,7 @@ def test_multigrid_loop_steps_and_residual(name, inv_h, monkeypatch):
 
     monkeypatch.setattr(spectral, "_vcycle", counting_vcycle)
     problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
-    assert problem.size > spectral._DIRECT_MAX
+    assert problem.size > spectral._COARSEST
     lam, vec, steps = principal_frequency(problem)
     # one preconditioner application a step
     assert steps == top_level_cycles
@@ -388,10 +383,12 @@ def test_multigrid_loop_steps_and_residual(name, inv_h, monkeypatch):
     assert steps == steps_ref
 
 
-def test_multigrid_convergence_budget(half_disk_128, monkeypatch):
+@_ONE_AND_MANY_LEVELS
+def test_multigrid_convergence_budget(name, inv_h, monkeypatch):
+    problem = assemble(domains.builtin_domain(name), 1.0 / inv_h)
     monkeypatch.setattr(spectral, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="did not converge in 2 steps"):
-        principal_frequency(half_disk_128)
+        principal_frequency(problem)
 
 
 def test_multigrid_stiff_fixed_faces(half_disk_128):
