@@ -3,7 +3,8 @@
 Every builder returns a :class:`~freebdry.geometry.LabeledDomain`.  Curved
 boundaries are inscribed polygons with a configurable segment count (64 by
 default).  Nothing here reads from disk; the CLI's built-in domain library is
-generated programmatically from these functions.
+generated programmatically from these functions.  The generator's crossings,
+inside probes and cuts are :mod:`freebdry.geometry`'s kernels.
 """
 
 from __future__ import annotations

@@ -774,8 +774,9 @@ def is_concave_free_boundary(domain: LabeledDomain) -> ConcavityReport:
     so the chain is concave when the domain does not overlap that hull: the
     area of each loop clipped by the hull, the holes' counted negative, is
     at most ``1e-12 * diameter**2``.  A straight chain's hull is a segment,
-    which nothing lies strictly inside; an empty free chain is vacuously
-    concave.  The report is computed once per domain and kept on it.
+    which nothing lies strictly inside, and a closed chain's is its hole; an
+    empty free chain is vacuously concave.  The report is computed once per
+    domain and kept on it.
     """
     if domain._concavity is None:
         domain._concavity = _exact_concavity(domain)
@@ -1059,7 +1060,8 @@ def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledD
     first step.  The run stops once a reflected step improves the ratio by
     less than 1e-6, or at an ``"inadmissible"`` step, as the next would try
     three of its cut angles on the same domain.  Returns the final domain
-    and a per-step trace of the ratio, area and x-projection width.
+    and a per-step trace of the angle cut (the reflecting candidate's, else
+    the first's), the ratio, area and x-projection width.
     """
     trace: list[dict] = []
     current = domain
@@ -1068,11 +1070,10 @@ def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledD
     x0, _, x1, _ = current.bbox
     ratio, width = isoperimetric_report(current).ratio, x1 - x0
     for k in range(1, steps + 1):
-        theta = (k * GOLDEN_ANGLE) % math.pi
-        result = symmetrization_step(current, theta)
+        result = symmetrization_step(current, (k * GOLDEN_ANGLE) % math.pi)
         trace.append({
             "step": k,
-            "theta": theta,
+            "theta": result.cut.angle,
             "ratio": ratio,
             "area": current.area,
             "projection_width": width,

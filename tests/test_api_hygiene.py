@@ -1,15 +1,18 @@
 """Package API hygiene, checked with the standard library's ``ast``.
 
 Every name a module lists in ``__all__`` exists and is wired (read by the
-package itself, or imported by the acceptance tests), every name the
-package root imports resolves to the module's own object, no module imports
-a name it never uses, and every name a module defines at its top level is
-read somewhere in the package or its tests (each a leftover of deleted
-code), and so is every field of every dataclass.
+package itself, or imported by the acceptance tests); the package root
+imports nothing, so each name is stated once, in its module; no module
+imports a name it never uses; and every name a module defines at its top
+level is read somewhere in the package or its tests (each a leftover of
+deleted code), and so is every field of every dataclass.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,8 +46,8 @@ def exported(tree: ast.Module) -> list[str]:
 def unwired_names(modules: dict[str, ast.Module], imported: set[str]) -> list[str]:
     """The ``__all__`` names of ``modules`` (name -> tree) that no top-level
     statement of theirs reads, the name's own definition aside, and that
-    ``imported`` lacks.  An import, such as the package root's re-export, is
-    not a read, and neither is a string in ``__all__``."""
+    ``imported`` lacks.  An import that only re-exports a name is not a
+    read, and neither is a string in ``__all__``."""
     reads = [(mod, getattr(node, "name", None), read_names([node]))
              for mod, tree in modules.items() for node in tree.body]
     return sorted(name for mod, tree in modules.items() for name in exported(tree)
@@ -55,7 +58,7 @@ def unwired_names(modules: dict[str, ast.Module], imported: set[str]) -> list[st
 def test_every_public_name_is_wired():
     # public API that no campaign reaches is dead weight: it goes, unless
     # the acceptance tests import it
-    modules = {name: _tree(SRC / f"{name}.py") for name in ["__init__", *MODULES]}
+    modules = {name: _tree(SRC / f"{name}.py") for name in MODULES}
     imported = {a.asname or a.name for node in ast.walk(_tree(TESTS / "test_acceptance.py"))
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert unwired_names(modules, imported) == []
@@ -75,14 +78,16 @@ def test_unwired_name_detector_sees_a_leftover():
     assert unwired_names({"__init__": root, "m": module, "c": caller}, {"LIMIT"}) == ["flux", "wrap"]
 
 
-def test_package_root_imports_resolve():
-    imports = [node for node in _tree(SRC / "__init__.py").body
-               if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module("." * node.level + node.module, "freebdry")
-        for alias in node.names:
-            assert getattr(freebdry, alias.asname or alias.name) is getattr(module, alias.name)
+def test_package_root_loads_nothing():
+    # the root re-exports no name, so importing it loads no submodule and
+    # no numpy; each name is imported from the module that defines it
+    probe = ("import sys; before = set(sys.modules); import freebdry; "
+             "print(sorted(m for m in set(sys.modules) - before "
+             "if m.split('.')[0] == 'numpy' or m.startswith('freebdry.')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -205,7 +205,8 @@ _SYMMETRIZE_GOLDEN = ("symmetrize_trapezoid_steps50.json",
                       ["symmetrize", "--domain", "trapezoid", "--steps", "50"])
 
 # the shape of the bench's symmetrize calls: a generated domain, whose
-# 3 reflected steps cut through a bent free chain of 13 edges
+# first step reflects at its second candidate cut, through a bent free chain
+# of 13 edges, and whose second step is inadmissible
 _SYMMETRIZE_GENERATED_GOLDEN = ("symmetrize_random_concave_seed1_steps12.json",
                                 ["symmetrize", "--domain",
                                  str(Path(__file__).parent / "data" / "random_concave_seed1.json"),

@@ -9,7 +9,8 @@ that gap plus the campaign's slack, and requires exit 4 with the failure
 entry that names the input; a smaller scale, inside the slack, must still
 exit 0.  The energy factor is checked at the API, on a Talenti bubble
 centred on the half disk's free diameter, an equality case at 0.9995 of its
-bound.  No tolerance is changed.
+bound, and through ``moser``, whose nearest field reaches 0.658 of it.  No
+tolerance is changed.
 """
 
 import json
@@ -83,3 +84,18 @@ def test_energy_factor_fails_a_lowered_factor(monkeypatch, scale, ok):
     lhs, rhs = rearrange.check_rearrangement_energy_factor(bubble, 1.5)
     assert rhs == factor(1.5) / scale * rearrange.gradient_lp_norm(bubble, 1.5) ** 1.5
     assert (lhs <= rhs * (1.0 + GRID_SLACK)) == ok
+
+
+@pytest.mark.parametrize("scale, code", [(0.64, EXIT_INEQUALITY), (0.66, EXIT_OK)])
+def test_moser_fails_a_lowered_energy_factor(tmp_path, monkeypatch, scale, code):
+    # energy_lhs / energy_rhs is 0.381, 0.658 and 0.494 on the default fields
+    factor = rearrange.energy_factor
+    monkeypatch.setattr("freebdry.rearrange.energy_factor", lambda p: factor(p) * scale)
+    got, report = _report(tmp_path, ["moser"])
+    assert got == code
+    if code == EXIT_INEQUALITY:
+        [failure] = report["failures"]
+        assert failure == report["entries"][1]
+        assert failure["energy_lhs"] > failure["energy_rhs"] * (1.0 + GRID_SLACK)
+    else:
+        assert report["failures"] == []
