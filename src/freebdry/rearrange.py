@@ -9,23 +9,22 @@ integral of 1/|grad| -- are extracted by marching squares.  Each check hands
 its whole level list to one batched pass per field, which contours the
 levels in chunks of at most ``_PAIR_BUDGET`` crossed (block, level) pairs,
 samples the gradient at the chunk's segment midpoints in one call, and keeps
-each level's contour length, coarea integral and reliability flag in a
-per-level contour cache on the field; ``level_stats`` reads one level from
-that cache.
+one :class:`LevelStats` record per level in a contour cache on the field;
+``level_stats`` reads one record from that cache.
 
 A field's values are read-only, so the work that does not depend on the
 exponent p is done once per field and kept on it: the sorted values, which
 are the decreasing profile's levels and which ``distribution_function``
-counts in, the usable-level table of each level list (level, statistics,
-super-level measure, profile slope) and the radial rearrangement u* with
-its gradient modulus.  A profile is a view of the sorted values; its
-breakpoints are rebuilt per use, so that a field keeps one array of its
-size more, not two.  Checks at several exponents on one field only raise
-these to their powers.
+counts in, the usable records of each level count, and the radial
+rearrangement u* with its gradient modulus.  A profile is a view of the
+sorted values; its breakpoints are rebuilt per use, so that a field keeps
+one array of its size more, not two.  Checks at several exponents on one
+field only raise these to their powers.
 The statistics feed the verification routines:
 
 * ``check_slope_coarea_identity``  -- profile slope vs. 1/(coarea integral),
-* ``check_profile_energy_bound``   -- profile Dirichlet energy vs. field energy,
+* ``check_profile_energy_bound``   -- profile Dirichlet energy vs. field energy
+  in its coarea form, read from the level records alone,
 * ``check_rearrangement_energy_factor`` -- the factor-2^{p/2} gradient bound
   for admissible fields on concave-free-boundary domains.
 
@@ -79,8 +78,8 @@ class ScalarField:
     ``values`` is read-only, so everything derived from it is computed on
     first use and kept on the field: the value range, the sorted values,
     the radial rearrangement, the gradient modulus, the mirror-extended
-    values and modulus that contouring reads, each level's contour, and the
-    quantile levels and usable-level table of each level count."""
+    values and modulus that contouring reads, each level's record, and the
+    usable records of each level count."""
 
     def __init__(self, grid: RasterGrid, values):
         vals = np.asarray(values, dtype=float)
@@ -95,8 +94,8 @@ class ScalarField:
         self.grid = grid
         self.values = np.where(grid.mask, np.clip(vals, 0.0, None), 0.0)
         self.values.flags.writeable = False
-        self._contours = {}  # level -> (surface, coarea integral, reliable)
-        self._usable = {}    # level count -> _usable_levels table
+        self._contours = {}  # level -> LevelStats
+        self._usable = {}    # level count -> _usable_levels records
 
     @classmethod
     def from_function(cls, domain: LabeledDomain, h: float, fn) -> "ScalarField":
@@ -414,7 +413,7 @@ def _fill_contours(field: ScalarField, levels) -> None:
     """Contour every level of ``levels`` strictly inside the field's range
     that the field's contour cache lacks, in sorted chunks of at most
     ``_PAIR_BUDGET`` crossed (block, level) pairs, and cache each level's
-    statistics.  Segments of length at most 1e-14 h are dropped."""
+    :class:`LevelStats`.  Segments of length at most 1e-14 h are dropped."""
     vmin, vmax = field.value_range
     todo = np.unique(np.asarray(levels, dtype=float))
     todo = todo[(todo > vmin) & (todo < vmax)]
@@ -443,8 +442,9 @@ def _fill_contours(field: ScalarField, levels) -> None:
         weights = lengths / np.clip(gmag, 1e-8, None)
         steep = gmag > 1e-8
         for t, a, b in zip(chunk.tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
-            field._contours[t] = (float(lengths[a:b].sum()), float(weights[a:b].sum()),
-                                  b > a and bool(steep[a:b].all()))
+            field._contours[t] = LevelStats(t, float(lengths[a:b].sum()),
+                                            float(weights[a:b].sum()),
+                                            b > a and bool(steep[a:b].all()))
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,7 @@ def level_stats(field: ScalarField, t: float) -> LevelStats:
         )
     if float(t) not in field._contours:
         _fill_contours(field, [t])
-    return LevelStats(t, *field._contours[float(t)])
+    return field._contours[float(t)]
 
 
 def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -535,23 +535,18 @@ class SlopeCoareaReport:
     levels_used: int
 
 
-def _usable_levels(field: ScalarField, m: int) -> tuple[tuple, ...]:
-    """(level, stats, super-level measure, profile slope) of each of the
-    field's ``m`` quantile levels whose contour is usable: strictly inside
-    the field's range, nonempty and away from critical points
-    (``LevelStats.reliable``).  The table depends on ``m`` only, so the
-    levels and the table are computed once per level count and kept on the
-    field."""
-    if m in field._usable:
-        return field._usable[m]
-    levels = quantile_levels(field, m)
-    _fill_contours(field, levels)
-    stats = [ls for ls in (level_stats(field, t) for t in levels.tolist())
-             if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0]
-    t = np.array([ls.level for ls in stats])
-    s = distribution_function(field, t)
-    slopes = decreasing_rearrangement(field).slope(s)
-    field._usable[m] = tuple(zip(t.tolist(), stats, s.tolist(), slopes.tolist()))
+def _usable_levels(field: ScalarField, m: int) -> tuple[LevelStats, ...]:
+    """The records, in ascending level order, of the field's ``m`` quantile
+    levels whose contour is usable: strictly inside the field's range,
+    nonempty and away from critical points (``LevelStats.reliable``).  They
+    depend on ``m`` only, so they are computed once per level count and
+    kept on the field."""
+    if m not in field._usable:
+        levels = quantile_levels(field, m)
+        _fill_contours(field, levels)
+        field._usable[m] = tuple(
+            ls for ls in (level_stats(field, t) for t in levels.tolist())
+            if ls.reliable and ls.surface > 0.0 and ls.coarea_integral > 0.0)
     return field._usable[m]
 
 
@@ -564,8 +559,10 @@ def check_slope_coarea_identity(field: ScalarField) -> SlopeCoareaReport:
     ``PreconditionError`` when no level was usable, since a check over no
     level shows nothing.
     """
+    usable = _usable_levels(field, 16)
+    s = distribution_function(field, np.array([ls.level for ls in usable]))
     devs = []
-    for _, ls, _, slope in _usable_levels(field, 16):
+    for ls, slope in zip(usable, decreasing_rearrangement(field).slope(s).tolist()):
         if slope != 0.0:
             rhs = ls.coarea_integral
             devs.append(abs(1.0 / abs(slope) - rhs) / rhs)
@@ -578,11 +575,14 @@ def check_profile_energy_bound(field: ScalarField, p: float,
                                n_levels: int = 96) -> tuple[float, float]:
     """Both sides of the profile-energy inequality
 
-        int_0^{|area|} |profile'(z)|^p S(z)^p dz  <=  int |grad u|^p ,
+        int_0^{|area|} |profile'(z)|^p S(z)^p dz  <=  int |grad u|^p .
 
-    the left side assembled by trapezoid quadrature over quantile levels with
-    S taken from the extracted contours.  Raises ``PreconditionError`` when
-    fewer than 2 levels are usable: the quadrature then has no interval.
+    By the coarea formula, z = |{u > t}| has dz = -C(t) dt and
+    |profile'| = 1/C, with C the contour integral of ds/|grad u|; so the
+    left side is int S(t)^p C(t)^{1-p} dt, taken by trapezoid quadrature
+    over the usable quantile levels with S and C from their records.
+    Raises ``PreconditionError`` when fewer than 2 levels are usable: the
+    quadrature then has no interval.
     """
     if not 1.0 < p < math.inf:
         raise PreconditionError("the profile energy bound needs a finite p > 1")
@@ -591,11 +591,8 @@ def check_profile_energy_bound(field: ScalarField, p: float,
         raise PreconditionError(
             f"the profile energy bound needs 2 usable levels, found {len(usable)}"
         )
-    zs = np.array([z for _, _, z, _ in usable])
-    order = np.argsort(zs)
-    zs = zs[order]
-    integrand = np.array([abs(slope) ** p * ls.surface ** p for _, ls, _, slope in usable])[order]
-    lhs = float(np.trapezoid(integrand, zs))
+    t, S, C = np.array([(ls.level, ls.surface, ls.coarea_integral) for ls in usable]).T
+    lhs = float(np.trapezoid(S**p * C**(1.0 - p), t))
     rhs = gradient_lp_norm(field, p) ** p
     return lhs, rhs
 

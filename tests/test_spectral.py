@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from scipy.special import j0 as scipy_j0, jn_zeros
 
 from freebdry import domains, spectral
+from freebdry.cli import GRID_SLACK
 from freebdry.errors import ConvergenceError, PreconditionError
 from freebdry.geometry import FACE_FIXED, rasterize
 from freebdry.quotients import CounterexampleSpec, counterexample_domain
@@ -159,6 +160,16 @@ def test_frequency_bound_half_disk_equality(half_disk_eig_256):
     reference = half_ball_reference(dom.area)
     assert lam - reference >= -0.02 * reference
     assert lam == pytest.approx(reference, rel=0.02)
+
+
+@pytest.mark.xfail(strict=True, reason="the staircase free faces along a slanted free "
+                                       "diameter are first order (ROADMAP item 22)")
+def test_frequency_bound_rotated_half_disk():
+    # the half disk is an equality case wherever it is turned; at h = 1/16
+    # its margin reads -0.46% of the reference unrotated and -2.23% turned
+    # by 0.3, past the campaign's slack
+    rep = check_frequency_vs_half_ball(domains.half_disk().transformed(angle=0.3), 1.0 / 16)
+    assert rep.margin >= -GRID_SLACK * rep.reference
 
 
 def test_frequency_bound_square_bottom_free(square_free_bottom):
