@@ -9,8 +9,9 @@ CSV, and exits with a machine-readable status:
     3  a precondition was violated: the free chain of the domain of ``isoperim``,
        ``symmetrize``, ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave,
        the domain of ``symmetrize`` has holes, a field is not zero on the fixed boundary,
-       ``--epsilon``/``--p`` is NaN/inf, or the curvature ``--a`` or
-       ``counterexample:<a>`` is not above 1 or makes 8 a^2 overflow
+       ``--epsilon``/``--p`` is NaN/inf, the curvature ``--a`` or
+       ``counterexample:<a>`` is not above 1 or makes 8 a^2 overflow, or
+       ``counterexample --tau0`` lies outside (0, 1/100]
     4  an asserted inequality failed
 """
 

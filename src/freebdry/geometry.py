@@ -195,28 +195,19 @@ def _free_chain_rows(free: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
 
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting, vectorized over ``points`` (N, 2).  An edge
-    from y1 to y2 is crossed by the rays of the points with
-    ``min(y1, y2) <= y < max(y1, y2)``.  The points are sorted by ordinate
-    once, so that band is one slice of them, found by ``searchsorted``, and
-    each edge computes its crossing abscissa on its own band only; an edge
-    whose band lies outside the points' ordinates is skipped before that,
-    so few points cost few edges.  A NaN ordinate sorts last and lies in no
-    band."""
-    order = np.argsort(points[:, 1])
-    px, py = points[order, 0], points[order, 1]
-    crossed = np.zeros(len(points), dtype=bool)  # in sorted order
-    lo, hi = float(py.min(initial=np.inf)), float(py.max(initial=-np.inf))
-    x, y = poly[:, 0].tolist(), poly[:, 1].tolist()
-    for x1, y1, x2, y2 in zip(x, y, x[1:] + x[:1], y[1:] + y[:1]):
-        if min(y1, y2) > hi or max(y1, y2) <= lo or y1 == y2:
-            continue
-        a, b = py.searchsorted((min(y1, y2), max(y1, y2))).tolist()
-        xi = x1 + (py[a:b] - y1) * (x2 - x1) / (y2 - y1)
-        crossed[a:b] ^= px[a:b] < xi
-    inside = np.empty(len(points), dtype=bool)
-    inside[order] = crossed
-    return inside
+    """Even-odd ray casting of ``points`` (N, 2), edges by points: the edge
+    from (x1, y1) to (x2, y2) is crossed by the rightward ray of (x, y) when
+    ``(y1 > y) != (y2 > y)`` and ``x < x1 + (y - y1)(x2 - x1)/(y2 - y1)``,
+    and a point is inside when it crosses an odd number of edges.  A
+    horizontal edge or a NaN ordinate crosses no ray."""
+    x, y = points[:, 0], points[:, 1]
+    x1, y1 = poly[:, :1], poly[:, 1:]
+    x2, y2 = _next(x1), _next(y1)
+    # on the edges a ray misses, a horizontal edge divides by 0, an infinite
+    # ordinate gives inf - inf and a huge one overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        crossed = ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+    return np.logical_xor.reduce(crossed, axis=0)
 
 
 def _check_holes(outer: np.ndarray, holes: Sequence[np.ndarray]) -> None:
@@ -276,24 +267,15 @@ def _segment_offsets(px: np.ndarray, py: np.ndarray, seg: np.ndarray,
 
 
 def _nearest_in_block(px: np.ndarray, py: np.ndarray, seg: np.ndarray,
-                      bufs: np.ndarray, near_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      bufs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One block of :func:`_nearest_segment`: the (K, P) distances from the
     points (px[i], py[i]) to the segments of ``seg``, laid out in the flat
-    scratch ``bufs`` (4, at least K * P) and ``near_buf``.  Returns each
-    point's smallest distance and the first row that attains it."""
+    scratch ``bufs`` (3, at least K * P).  Returns each point's smallest
+    distance and the first row that attains it."""
     shape = (len(seg[0]), len(px))
-    qx, qy, t, d = bufs[:, :shape[0] * shape[1]].reshape(4, *shape)
-    near = near_buf[:shape[0] * shape[1]].reshape(shape)
+    qx, qy, t = bufs[:, :shape[0] * shape[1]].reshape(3, *shape)
     _segment_offsets(px, py, seg, qx, qy, t)
-    s = np.multiply(qx, qx, out=t)
-    s += np.multiply(qy, qy, out=d)
-    cut = s.min(axis=0)
-    cut *= 1.0 + 1e-12
-    cut += 1e-300
-    # not "s <= cut": a NaN comparison is false, and must leave a pair near
-    np.logical_not(np.greater(s, cut, out=near), out=near)
-    d.fill(np.inf)
-    np.hypot(qx, qy, out=d, where=near)
+    d = np.hypot(qx, qy, out=t)
     return d.min(axis=0), d.argmin(axis=0)
 
 
@@ -390,27 +372,13 @@ def _nearest_segment(points: np.ndarray, starts: np.ndarray,
     block with its kept edges.  Below those sizes, sorting the points and
     bounding the buckets costs more than the dropped edges save, and the
     points are measured in input order against every edge.
-
-    ``np.hypot`` costs about 60 times what a product does an element (25 ns
-    against 0.4 ns on a 2-vCPU x86-64 machine), so it is taken only on
-    the pairs whose squared distance ``s = qx*qx + qy*qy`` is within a
-    relative 1e-12 (plus an absolute 1e-300) of the block row's smallest;
-    the other pairs stay inf.  That leaves the minimum and its first index
-    exact: ``s`` and ``hypot`` are each within a few ulp of the true value
-    for the same offset (qx, qy), so every pair whose ``hypot`` equals the
-    row's smallest has an ``s`` within about 1.3e-15 relative of the row's
-    smallest ``s``; the absolute term covers squares that underflow to
-    subnormals or zero.  A dropped edge can only raise a row's smallest
-    ``s``, which keeps every such pair near.  A row holding NaN has a NaN
-    minimum and one whose squares all overflow an inf one; neither compares
-    greater, so every pair of such a row is measured, as with no screen.
     """
     n, m = len(points), len(starts)
     if not n or not m:
         return np.full(n, np.inf), np.zeros(n, dtype=np.intp)
     rows = max(1, _EDGE_PAIR_BLOCK // m)
-    # an overflow only screens, or gives the inf or NaN distance that the
-    # per-pair arithmetic gives anyway
+    # an overflow only keeps a tile's edges, or gives the inf or NaN distance
+    # that the per-pair arithmetic gives anyway
     with np.errstate(over="ignore", invalid="ignore"):
         ax, ay = starts[:, 0], starts[:, 1]
         abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
@@ -420,12 +388,10 @@ def _nearest_segment(points: np.ndarray, starts: np.ndarray,
         blocks = _tiles(points, starts, ends, seg[:, :, None], rows)
         # scratch blocks reused by every block: fresh arrays this size would
         # be page-faulted in anew each time
-        bufs = np.empty((4, min(rows, n) * m))
-        near_buf = np.empty(min(rows, n) * m, dtype=bool)
+        bufs = np.empty((3, min(rows, n) * m))
         dist, index = np.empty(n), np.empty(n, dtype=np.intp)
         for sel, e in blocks:
-            dist[sel], k = _nearest_in_block(points[sel, 0], points[sel, 1], seg[:, e, None],
-                                             bufs, near_buf)
+            dist[sel], k = _nearest_in_block(points[sel, 0], points[sel, 1], seg[:, e, None], bufs)
             index[sel] = e[k]
     return dist, index
 
@@ -1065,29 +1031,23 @@ def symmetrize_iterate(domain: LabeledDomain, steps: int = 50) -> tuple[LabeledD
     """
     trace: list[dict] = []
     current = domain
-    # the current domain's ratio and projection width, measured once per
-    # domain: a reflected step's ratio_after is the next step's ratio
-    x0, _, x1, _ = current.bbox
-    ratio, width = isoperimetric_report(current).ratio, x1 - x0
     for k in range(1, steps + 1):
         result = symmetrization_step(current, (k * GOLDEN_ANGLE) % math.pi)
+        x0, _, x1, _ = current.bbox
         trace.append({
             "step": k,
             "theta": result.cut.angle,
-            "ratio": ratio,
+            "ratio": result.ratio_before,
             "area": current.area,
-            "projection_width": width,
+            "projection_width": x1 - x0,
             "case": result.case,
             "ratio_after": result.ratio_after,
         })
         if result.case == "inadmissible":
             break
         if result.case == "reflected":
-            improved = result.ratio_before - result.ratio_after
             current = result.domain
-            x0, _, x1, _ = current.bbox
-            ratio, width = result.ratio_after, x1 - x0
-            if improved < 1e-6:
+            if result.ratio_before - result.ratio_after < 1e-6:
                 break
     return current, trace
 

@@ -507,7 +507,7 @@ def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return (stack * w).sum(axis=0) / tot
 
 
-def quantile_levels(field: ScalarField, m: int = 64) -> np.ndarray:
+def quantile_levels(field: ScalarField, m: int) -> np.ndarray:
     """Levels at the (k + 1/2)/m quantiles of the active (above-minimum)
     cell values, clipped away from the extremes."""
     vmin, vmax = field.value_range

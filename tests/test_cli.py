@@ -399,12 +399,22 @@ def test_negative_seed_exits_2(capsys, argv):
     ("--epsilon", ["sobolev", "--h", "0.0625", "--random", "0"]),
     ("--p", ["rearrange", "--h", "0.0625"]),
     ("--a", ["counterexample"]),
-], ids=["sobolev-epsilon", "rearrange-p", "counterexample-a"])
+    ("--tau0", ["counterexample"]),
+], ids=["sobolev-epsilon", "rearrange-p", "counterexample-a", "counterexample-tau0"])
 def test_non_finite_experiment_input_exits_3(capsys, flag, argv, value):
     # NaN fails every comparison, so it must fail the guard, not pass it
     assert run_cli([*argv, f"{flag}={value}", "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "0.5"])
+def test_counterexample_aperture_out_of_range_exits_3(capsys, value):
+    # the aperture constant lies in (0, 1/100]; finite values outside it are
+    # refused too
+    assert run_cli(["counterexample", f"--tau0={value}", "--quiet"]) == 3
+    assert capsys.readouterr().err == ("precondition violated: aperture constant "
+                                       "must lie in (0, 1/100]\n")
 
 
 @pytest.mark.parametrize("argv", [

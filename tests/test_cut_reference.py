@@ -753,9 +753,11 @@ def test_points_in_polygon_matches_per_edge_loop():
         for poly in (dom.vertices, *dom.holes):
             assert np.array_equal(_points_in_polygon(probes, poly),
                                   reference_points_in_polygon(probes, poly))
-    # a NaN ordinate sorts last and lies in no edge's band
-    pts = np.array([[0.5, np.nan], [0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [0.5, -np.inf]])
+    # a NaN, infinite or huge ordinate lies in no edge's band; under
+    # -W error::RuntimeWarning the arithmetic on the edges it misses must not warn
+    pts = np.array([[0.5, np.nan], [0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [0.5, -np.inf],
+                    [0.5, 1e308], [1e308, -1e308]])
     poly = domains.unit_square().vertices
-    assert _points_in_polygon(pts, poly).tolist() == [False, True, False, False, False]
+    assert _points_in_polygon(pts, poly).tolist() == [False, True, False, False, False, False, False]
     with np.errstate(invalid="ignore"):  # the reference's inf * 0
         assert np.array_equal(_points_in_polygon(pts, poly), reference_points_in_polygon(pts, poly))

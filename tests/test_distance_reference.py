@@ -148,9 +148,9 @@ def on_boundary(starts, ends):
 @pytest.mark.parametrize("far", [False, True])
 @pytest.mark.parametrize("name", DOMAINS)
 def test_scaled_and_shifted_domains_and_points_on_the_boundary(name, scale, far):
-    # the screen on squared distances must keep the exact minimum where the
-    # squares underflow (1e-150), where they approach overflow (1e150) and
-    # where the offsets lose the low bits of coordinates far from the origin
+    # the kernel must keep the exact minimum where the squares underflow
+    # (1e-150), where they approach overflow (1e150) and where the offsets
+    # lose the low bits of coordinates far from the origin
     starts, ends, _ = edge_table(DOMAINS[name])
     shift = np.array([3.0e6, -5.0e6]) if far else np.zeros(2)
     starts, ends = (starts + shift) * scale, (ends + shift) * scale
@@ -168,8 +168,8 @@ def test_centre_of_a_regular_polygon_ties_every_edge(scale):
     # every edge of a regular 96-gon, and every vertex of it, is at one
     # distance from its centre in exact arithmetic: the rounded distances
     # tie or differ by an ulp, and their squares need not order them alike,
-    # so the first index reaching the smallest distance must survive the
-    # screen on squares; at 1e-160 the squares are subnormal, with far
+    # so the first index reaching the smallest distance must survive any
+    # arithmetic on squares; at 1e-160 the squares are subnormal, with far
     # fewer significant bits than the distances
     phi = 2 * np.pi * np.arange(96) / 96
     ring = np.column_stack([np.cos(phi), np.sin(phi)]) * scale
@@ -326,9 +326,9 @@ def test_fixed_distance_measures_under_half_its_pairs(monkeypatch):
     # and every block fits the scratch block
     blocks, block = [], geometry._nearest_in_block
 
-    def counting(px, py, seg, bufs, near_buf):
+    def counting(px, py, seg, bufs):
         blocks.append(len(seg[0]) * len(px))
-        return block(px, py, seg, bufs, near_buf)
+        return block(px, py, seg, bufs)
 
     monkeypatch.setattr(geometry, "_nearest_in_block", counting)
     grid = rasterize(domains.half_disk(), 1 / 128)
@@ -339,9 +339,8 @@ def test_fixed_distance_measures_under_half_its_pairs(monkeypatch):
 
 
 def test_non_finite_and_overflowing_points_measure_every_edge():
-    # a NaN offset makes the row's smallest square NaN and squares that all
-    # overflow make it inf; no pair then compares greater than the cut, so
-    # every pair is measured, as with no screen at all
+    # a NaN offset gives a NaN distance; the distances of the huge points,
+    # whose squares overflow, stay finite and match the per-edge reference
     starts, ends, _ = edge_table(DOMAINS["halfdisk"])
     pts = np.array([[np.nan, 0.0], [np.inf, 1.0], [0.5, np.inf], [-np.inf, -np.inf],
                     [1e300, 1e300], [-3e200, 1e155], [0.25, 0.5]])

@@ -647,6 +647,13 @@ def _shifted_far(dom, diameters):
     return dom.transformed(shift=(s, 0.7 * s))
 
 
+def _verdict_domains():
+    """The builtins and 20 domains generated from seed 3."""
+    rng = np.random.default_rng(3)
+    doms = [domains.builtin_domain(name) for name in domains.BUILTIN_NAMES]
+    return doms + [domains.random_concave_domain(rng) for _ in range(20)]
+
+
 # 1e4 and 1e6 diameters: by 1e8, transformed rounds each vertex by about
 # 1.5e-8 of the diameter and builds another polygon
 @pytest.mark.parametrize("diameters", [1e4, 1e6])
@@ -654,14 +661,26 @@ def test_polygon_verdicts_do_not_depend_on_where_the_domain_sits(diameters):
     # areas and concavity clips taken relative to a vertex agree to 1e-9
     # (3.3e-10 measured at 1e6); on absolute coordinates areas were 1.0e-3
     # off at 1e6, and clipped on them three of these concavity verdicts flip
-    rng = np.random.default_rng(3)
-    doms = [domains.builtin_domain(name) for name in domains.BUILTIN_NAMES]
-    doms += [domains.random_concave_domain(rng) for _ in range(20)]
-    for dom in doms:
+    for dom in _verdict_domains():
         concave, cases, numbers = _polygon_verdicts(dom)
         far_concave, far_cases, far_numbers = _polygon_verdicts(_shifted_far(dom, diameters))
         assert (far_concave, far_cases) == (concave, cases)
         np.testing.assert_allclose(far_numbers, numbers, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+def test_polygon_verdicts_do_not_depend_on_scale_or_rotation(scale):
+    # the isoperimetric ratio and area / scale^2 agree to 1e-12 (1.4e-15
+    # measured); the symmetrize cases are not compared, as its cut angles
+    # do not turn with the domain
+    for dom in _verdict_domains():
+        concave = is_concave_free_boundary(dom).concave
+        numbers = [dom.area, isoperimetric_report(dom).ratio]
+        for angle in (0.0, 0.1, 0.7, 2.3):
+            moved = dom.transformed(scale=scale, angle=angle)
+            assert is_concave_free_boundary(moved).concave == concave
+            np.testing.assert_allclose([moved.area / scale**2, isoperimetric_report(moved).ratio],
+                                       numbers, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason="a re-cut on the symmetry axis of the last reflection "

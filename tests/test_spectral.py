@@ -172,6 +172,22 @@ def test_frequency_bound_rotated_half_disk():
     assert rep.margin >= -GRID_SLACK * rep.reference
 
 
+@pytest.mark.parametrize("name, inv_h", [("halfdisk", 32), ("square-bottom-free", 32),
+                                         ("lshape", 16), ("trapezoid", 16)])
+def test_shift_by_whole_cells_changes_no_grid_report(name, inv_h):
+    # the grid moves with the domain, so the mask, the face labels and the
+    # eigenvalue are the same bits; the reference reads the shifted area
+    dom, h = domains.builtin_domain(name), 1.0 / inv_h
+    grid, rep = rasterize(dom, h), check_frequency_vs_half_ball(dom, h)
+    for cells in [(3, 5), (-7, 2), (1000, -333)]:
+        moved = dom.transformed(shift=np.multiply(cells, h))
+        moved_grid, moved_rep = rasterize(moved, h), check_frequency_vs_half_ball(moved, h)
+        assert np.array_equal(moved_grid.mask, grid.mask)
+        assert np.array_equal(moved_grid.face_labels, grid.face_labels)
+        assert moved_rep.lam == rep.lam
+        assert moved_rep.reference == pytest.approx(rep.reference, rel=1e-15, abs=0.0)
+
+
 def test_frequency_bound_square_bottom_free(square_free_bottom):
     rep = check_frequency_vs_half_ball(square_free_bottom, 1.0 / 64)
     assert rep.lam == pytest.approx(5.0 * math.pi**2 / 4.0, rel=0.01)
