@@ -92,8 +92,9 @@ def _csv_cell(v) -> str:
 
 
 def _emit(args, payload: dict, table: tuple[list[str], list[dict]]) -> int:
-    """Write the report as JSON, or as CSV of its primary table when the
-    campaign asked for csv format; column order is fixed per subcommand.
+    """Write the report as JSON, its first key ``"command"`` naming the
+    subcommand, or as CSV of its primary table when the campaign asked for
+    csv format; column order is fixed per subcommand.
     Returns the exit status: ``EXIT_INEQUALITY`` when the report lists
     failures, else ``EXIT_OK``."""
     if args.format == "csv":
@@ -102,7 +103,7 @@ def _emit(args, payload: dict, table: tuple[list[str], list[dict]]) -> int:
         lines += [",".join(_csv_cell(row.get(c)) for c in cols) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"command": args.command, **payload}, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     if not args.quiet:
@@ -117,7 +118,7 @@ def _emit(args, payload: dict, table: tuple[list[str], list[dict]]) -> int:
 def cmd_constants(args) -> int:
     rows = [asdict(consts.sharp_constants(args.n, p)) for p in args.p]
     cols = [f.name for f in fields(consts.SharpConstants)]
-    return _emit(args, {"command": "constants", "values": rows}, table=(cols, rows))
+    return _emit(args, {"values": rows}, table=(cols, rows))
 
 
 def cmd_isoperim(args) -> int:
@@ -134,7 +135,7 @@ def cmd_isoperim(args) -> int:
         reports.append({"index": k, **asdict(rep), "vacuous": conc.vacuous})
         if rep.margin < -ISOPERIM_SLACK * rep.bound:
             failures.append({"index": k, "margin": rep.margin})
-    payload = {"command": "isoperim", "reports": reports, "failures": failures}
+    payload = {"reports": reports, "failures": failures}
     return _emit(args, payload, table=(list(reports[0]), reports))
 
 
@@ -145,7 +146,6 @@ def cmd_symmetrize(args) -> int:
     ratios = [t["ratio"] for t in trace] + [isoperimetric_report(final).ratio]
     increases = [b - a for a, b in zip(ratios, ratios[1:]) if b - a > SYMMETRIZE_RISE]
     payload = {
-        "command": "symmetrize",
         "steps_run": len(trace),
         "initial_ratio": ratios[0],
         "final_ratio": ratios[-1],
@@ -172,7 +172,7 @@ def cmd_rearrange(args) -> int:
             checks[name].append({"p": p, "lhs": lhs, "rhs": rhs, "ok": ok})
             if not ok:
                 failures.append({"check": name, "p": p, "lhs": lhs, "rhs": rhs})
-    payload = {"command": "rearrange", "checks": checks, "failures": failures}
+    payload = {"checks": checks, "failures": failures}
     csv_rows = (
         [{"check": "profile_energy", **row} for row in checks["profile_energy"]]
         + [{"check": "energy_factor", **row} for row in checks["energy_factor"]]
@@ -211,7 +211,6 @@ def cmd_sobolev(args) -> int:
         if rep.quotient < rep.bound * (1.0 - GRID_SLACK):
             failures.append({"index": k, "quotient": rep.quotient, "bound": rep.bound})
     payload = {
-        "command": "sobolev",
         "p": args.p,
         "bound": base,
         "bubble_ladder": ladder,
@@ -246,7 +245,7 @@ def cmd_moser(args) -> int:
         })
         if not ok:
             failures.append(entries[-1])
-    payload = {"command": "moser", "entries": entries, "failures": failures}
+    payload = {"entries": entries, "failures": failures}
     return _emit(args, payload, table=(list(entries[0]), entries))
 
 
@@ -262,7 +261,6 @@ def cmd_counterexample(args) -> int:
         if not 0.0 < d < 1.0:
             failures.append({"a": a, "reason": f"energy deficit {d} outside (0,1)"})
     payload = {
-        "command": "counterexample",
         "tau0": args.tau0,
         "points": [
             {"a": p.a, "energy_deficit": p.energy_deficit,
@@ -281,7 +279,6 @@ def cmd_eig(args) -> int:
     report = check_frequency_vs_half_ball(dom, args.h)
     ok = report.margin >= -GRID_SLACK * report.reference
     payload = {
-        "command": "eig",
         "report": report.to_json_dict(),
         "failures": [] if ok else [{"margin": report.margin}],
     }
@@ -393,10 +390,10 @@ def main(argv=None) -> int:
             setattr(args, name, list(default))
     try:
         return args.func(args)
-    except (PreconditionError,) as exc:
+    except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (DomainValidationError, ParameterError, json.JSONDecodeError, KeyError, OSError) as exc:
+    except (DomainValidationError, ParameterError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:

@@ -79,38 +79,26 @@ def square_annulus(free_inner: bool = False) -> LabeledDomain:
                          hole_labels=hole_labels)
 
 
-BUILTIN_NAMES = (
-    "halfdisk",
-    "disk",
-    "square",
-    "square-bottom-free",
-    "lshape",
-    "trapezoid",
-    "annulus",
-    "annulus-free-inner",
-)
+_BUILTINS = {
+    "halfdisk": half_disk,
+    "disk": disk,
+    "square": unit_square,
+    "square-bottom-free": functools.partial(unit_square, free_bottom=True),
+    "lshape": l_shape,
+    "trapezoid": right_trapezoid,
+    "annulus": square_annulus,
+    "annulus-free-inner": functools.partial(square_annulus, free_inner=True),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_domain(name: str) -> LabeledDomain:
     """Look up a named builder; used by the CLI's ``--domain`` flag."""
-    key = name.strip().lower()
-    if key == "halfdisk":
-        return half_disk()
-    if key == "disk":
-        return disk()
-    if key == "square":
-        return unit_square(free_bottom=False)
-    if key == "square-bottom-free":
-        return unit_square(free_bottom=True)
-    if key == "lshape":
-        return l_shape()
-    if key == "trapezoid":
-        return right_trapezoid()
-    if key == "annulus":
-        return square_annulus()
-    if key == "annulus-free-inner":
-        return square_annulus(free_inner=True)
-    raise KeyError(f"unknown builtin domain {name!r}; choices: {', '.join(BUILTIN_NAMES)}")
+    builder = _BUILTINS.get(name.strip().lower())
+    if builder is None:
+        raise DomainValidationError(
+            f"unknown builtin domain {name!r}; choices: {', '.join(BUILTIN_NAMES)}")
+    return builder()
 
 
 # ---------------------------------------------------------------------------

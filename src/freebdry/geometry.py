@@ -615,6 +615,9 @@ class LabeledDomain:
     def from_json_dict(cls, data: dict) -> "LabeledDomain":
         if not isinstance(data, dict):
             raise DomainValidationError("a domain must be a JSON object")
+        for key in ("vertices", "labels"):
+            if key not in data:
+                raise DomainValidationError(f"a domain must have a '{key}' key")
         vertices, labels, holes = data["vertices"], data["labels"], data.get("holes", [])
         hole_labels = data.get("hole_labels")
         for key, value in (("labels", labels), ("holes", holes),

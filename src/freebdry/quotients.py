@@ -127,10 +127,7 @@ def talenti_bubble(domain: LabeledDomain, h: float, p: float, epsilon: float,
         raise PreconditionError("no free boundary to center the bubble on")
     center = chain[1]  # arc-length midpoint of the free chain
 
-    if domain.boundary_length(FIXED) > 0.0:
-        clearance = float(domain.distance_to_label(center[None, :], FIXED)[0])
-    else:
-        clearance = float(domain.boundary_distance(center[None, :])[0])
+    clearance = float(domain.distance_to_label(center[None, :], FIXED)[0])
     X, Y = grid.cell_centers()
     R = clearance - 0.1 * grid.inradius
     if R <= 2.0 * epsilon:
@@ -181,11 +178,8 @@ def moser_report(field: ScalarField) -> MoserReport:
             f"Dirichlet energy {grad2**2:.4f} exceeds the unit constraint"
         )
     require_admissible(field.grid.domain, field)
-    cell = field.grid.cell_area
-    functional = float(np.exp(beta * field.values_inside() ** 2).sum()) * cell
-    star = field.radial
-    star_cell = star.grid.cell_area
-    rearranged = float(np.exp(beta * star.values_inside() ** 2).sum()) * star_cell
+    functional, rearranged = (float(np.exp(beta * f.values_inside() ** 2).sum())
+                              * f.grid.cell_area for f in (field, field.radial))
     return MoserReport(functional=functional, area=field.area, rearranged_functional=rearranged)
 
 

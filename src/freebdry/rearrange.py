@@ -165,15 +165,9 @@ class ScalarField:
         h = self.grid.h
         fwd_v, bwd_v = (_shifted(v, *d, 0.0) for d in (fwd, bwd))
         fwd_ok, bwd_ok = (_shifted(mask, *d, False) & mask for d in (fwd, bwd))
-        out = np.zeros_like(v)
-        both = fwd_ok & bwd_ok
-        out[both] = (fwd_v[both] - bwd_v[both]) / (2.0 * h)
-        fonly = fwd_ok & ~bwd_ok
-        out[fonly] = (fwd_v[fonly] - v[fonly]) / h
-        bonly = bwd_ok & ~fwd_ok
-        out[bonly] = (v[bonly] - bwd_v[bonly]) / h
-        out[~mask] = 0.0
-        return out
+        return np.where(fwd_ok & bwd_ok, (fwd_v - bwd_v) / (2.0 * h),
+                        np.where(fwd_ok, (fwd_v - v) / h,
+                                 np.where(bwd_ok, (v - bwd_v) / h, 0.0)))
 
     @cached_property
     def grad_magnitude(self) -> np.ndarray:
@@ -288,17 +282,10 @@ def _mirror_extended(field: ScalarField, quantity: np.ndarray) -> np.ndarray:
     summed in the order S, N, W, E.  Cells further out become NaN."""
     mask = field.grid.mask
     ext = np.where(mask, quantity, 0.0)
-    acc = np.zeros_like(ext)
-    cnt = np.zeros(mask.shape, dtype=int)
-    for di, dj in reversed(_DIRS):
-        take = ~mask & _shifted(mask, di, dj, False)
-        acc[take] += _shifted(ext, di, dj, 0.0)[take]
-        cnt[take] += 1
-    out = np.full(mask.shape, np.nan)
-    out[mask] = quantity[mask]
-    ghost = cnt > 0
-    out[ghost] = acc[ghost] / cnt[ghost]
-    return out
+    acc = sum(_shifted(ext, di, dj, 0.0) for di, dj in reversed(_DIRS))
+    cnt = sum(_shifted(mask, di, dj, False).astype(int) for di, dj in reversed(_DIRS))
+    ghost = ~mask & (cnt > 0)
+    return np.where(mask, quantity, np.where(ghost, acc / np.maximum(cnt, 1), np.nan))
 
 
 # marching-squares case table: bit k set when corner k is above the level;
@@ -492,19 +479,13 @@ def _bilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:
     i0 = np.clip(np.floor(fy).astype(int), 0, ny - 2)
     tx = np.clip(fx - j0, 0.0, 1.0)
     ty = np.clip(fy - i0, 0.0, 1.0)
-    q00 = ext[i0, j0]
-    q01 = ext[i0, j0 + 1]
-    q10 = ext[i0 + 1, j0]
-    q11 = ext[i0 + 1, j0 + 1]
     # NaN corners (far outside) fall back to the nearest finite corner mix
-    stack = np.stack([q00, q01, q10, q11])
+    stack = ext[np.stack([i0, i0, i0 + 1, i0 + 1]), np.stack([j0, j0 + 1, j0, j0 + 1])]
     w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
-    bad = ~np.isfinite(stack)
-    w = np.where(bad, 0.0, w)
-    stack = np.where(bad, 0.0, stack)
+    ok = np.isfinite(stack)
+    w = np.where(ok, w, 0.0)
     tot = w.sum(axis=0)
-    tot[tot == 0.0] = 1.0
-    return (stack * w).sum(axis=0) / tot
+    return (np.where(ok, stack, 0.0) * w).sum(axis=0) / np.where(tot == 0.0, 1.0, tot)
 
 
 def quantile_levels(field: ScalarField, m: int) -> np.ndarray:

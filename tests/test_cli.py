@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from freebdry.cli import build_parser, main
+from freebdry.domains import BUILTIN_NAMES
 
 
 def run_cli(args):
@@ -471,9 +472,44 @@ def test_bad_domain_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_unknown_builtin_exits_2():
+def test_unknown_builtin_exits_2(capsys):
     code = run_cli(["isoperim", "--domain", "no-such-domain", "--quiet"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"input error: unknown builtin domain 'no-such-domain'; "
+                   f"choices: {', '.join(BUILTIN_NAMES)}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    (f'{{"labels": {_FOUR_FIXED}}}', "vertices"),
+    (f'{{"vertices": {_SQUARE}}}', "labels"),
+], ids=["no-vertices", "no-labels"])
+def test_domain_file_without_a_required_key_exits_2(tmp_path, capsys, text, key):
+    spec = tmp_path / "domain.json"
+    spec.write_text(text)
+    assert run_cli(["isoperim", "--domain", str(spec), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"input error: a domain must have a '{key}' key\n"
+
+
+# every subcommand, each on a small input
+_EVERY_SUBCOMMAND = {
+    "constants": ["constants"],
+    "isoperim": ["isoperim"],
+    "symmetrize": ["symmetrize", "--steps", "2"],
+    "rearrange": ["rearrange", "--h", "0.0625"],
+    "sobolev": ["sobolev", "--h", "0.0625", "--random", "1"],
+    "moser": ["moser", "--h", "0.0625", "--random", "1"],
+    "counterexample": ["counterexample", "--a", "10"],
+    "eig": ["eig", "--h", "0.0625"],
+}
+
+
+@pytest.mark.parametrize("command", _EVERY_SUBCOMMAND)
+def test_json_report_names_its_subcommand_first(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert run_cli(_EVERY_SUBCOMMAND[command] + ["--quiet", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert next(iter(report.items())) == ("command", command)
 
 
 def test_csv_report_format(tmp_path):
@@ -506,10 +542,7 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("sub", [
-    "constants", "isoperim", "symmetrize", "rearrange",
-    "sobolev", "moser", "counterexample", "eig",
-])
+@pytest.mark.parametrize("sub", _EVERY_SUBCOMMAND)
 def test_every_subcommand_has_help(sub, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli([sub, "--help"])
@@ -749,6 +782,10 @@ def _free_lower_arc_disk_json(segments=32):
 _OUT_OF_CLASS = {
     "disk-free-lower-arc": _free_lower_arc_disk_json(),
     "sector-0.9pi": _sector_json(0.9 * math.pi, 64, tip_first=False),
+    # no fixed edge: the outer loop is all free and lies in the hull of its
+    # own chain, so the bubble's fixed clearance is infinite and the gate
+    # decides
+    "square-all-free": json.dumps({"vertices": json.loads(_SQUARE), "labels": ["free"] * 4}),
 }
 _GATED_CAMPAIGNS = {
     "isoperim": ["isoperim"],
@@ -787,7 +824,7 @@ def test_every_gated_campaign_accepts_a_concave_sector(tmp_path, capsys, campaig
 def test_symmetrize_refuses_a_non_concave_domain(tmp_path, capsys):
     codes = [_run_on(tmp_path, spec_json, ["symmetrize", "--steps", "2"], capsys)[0]
              for spec_json in _OUT_OF_CLASS.values()]
-    assert codes == [3, 3]
+    assert codes == [3] * len(_OUT_OF_CLASS)
 
 
 _SCIPY_ONLY_IN_EIG = """
