@@ -5,13 +5,15 @@ prints a human-readable summary, optionally writes the full report as JSON or
 CSV, and exits with a machine-readable status:
 
     0  all asserted inequalities hold within the fixed slack (constants below, not flags)
-    2  input parsing failed, or ``--h``, ``--n``/``--p``, ``--random`` or ``--steps`` is out of range
+    2  input parsing failed, or ``--h``, ``--random``, ``--steps`` or the ``constants``
+       pair ``--n``/``--p`` is out of range
     3  a precondition was violated: the free chain of the domain of ``isoperim``,
        ``symmetrize``, ``rearrange``, ``sobolev``, ``moser`` or ``eig`` is not concave,
        the domain of ``symmetrize`` has holes, a field is not zero on the fixed boundary,
-       ``--epsilon``/``--p`` is NaN/inf, the curvature ``--a`` or
-       ``counterexample:<a>`` is not above 1 or makes 8 a^2 overflow, or
-       ``counterexample --tau0`` lies outside (0, 1/100]
+       ``sobolev --epsilon``/``--p`` or ``rearrange --p`` is out of range (NaN/inf
+       included), the curvature ``--a`` or ``counterexample:<a>`` is not above 1 or
+       makes 8 a^2 overflow, or ``counterexample --tau0`` lies outside (0, 1/100];
+       or a computation failed (the eigensolver ran out of steps)
     4  an asserted inequality failed
 """
 
@@ -66,6 +68,15 @@ EXIT_INEQUALITY = 4
 GRID_SLACK = 0.02  # rearrange, sobolev, moser and eig
 ISOPERIM_SLACK = 0.01
 SYMMETRIZE_RISE = 1e-9  # largest ratio rise a symmetrization step may show
+
+
+def holds(value: float, bound: float, slack: float, upper: bool = False) -> bool:
+    """The verdict rule of every campaign: ``value >= bound (1 - slack)``, or
+    with ``upper`` ``value <= bound (1 + slack)``.  It states the holding
+    case, so a NaN value or bound fails."""
+    if upper:
+        return value <= bound * (1.0 + slack)
+    return value >= bound * (1.0 - slack)
 
 
 def _load_domain(spec: str) -> LabeledDomain:
@@ -133,7 +144,7 @@ def cmd_isoperim(args) -> int:
         conc = require_admissible(dom)
         rep = isoperimetric_report(dom)
         reports.append({"index": k, **asdict(rep), "vacuous": conc.vacuous})
-        if rep.margin < -ISOPERIM_SLACK * rep.bound:
+        if not holds(rep.ratio, rep.bound, ISOPERIM_SLACK):
             failures.append({"index": k, "margin": rep.margin})
     payload = {"reports": reports, "failures": failures}
     return _emit(args, payload, table=(list(reports[0]), reports))
@@ -142,15 +153,15 @@ def cmd_isoperim(args) -> int:
 def cmd_symmetrize(args) -> int:
     dom = _load_domain(args.domain)
     require_admissible(dom)
-    final, trace = symmetrize_iterate(dom, steps=args.steps)
-    ratios = [t["ratio"] for t in trace] + [isoperimetric_report(final).ratio]
-    increases = [b - a for a, b in zip(ratios, ratios[1:]) if b - a > SYMMETRIZE_RISE]
+    _, trace = symmetrize_iterate(dom, steps=args.steps)
+    rises = [t["ratio_after"] - t["ratio"] for t in trace]
     payload = {
         "steps_run": len(trace),
-        "initial_ratio": ratios[0],
-        "final_ratio": ratios[-1],
+        "initial_ratio": trace[0]["ratio"],
+        "final_ratio": trace[-1]["ratio_after"],
         "trace": trace,
-        "failures": [{"ratio_increase": inc} for inc in increases],
+        "failures": [{"ratio_increase": rise} for rise in rises
+                     if not holds(rise, SYMMETRIZE_RISE, 0.0, upper=True)],
     }
     cols = ["step", "theta", "ratio", "area", "projection_width", "case"]
     return _emit(args, payload, table=(cols, trace))
@@ -168,7 +179,7 @@ def cmd_rearrange(args) -> int:
         for name, check in (("profile_energy", check_profile_energy_bound),
                             ("energy_factor", check_rearrangement_energy_factor)):
             lhs, rhs = check(field, p)
-            ok = lhs <= rhs * (1.0 + GRID_SLACK)
+            ok = holds(lhs, rhs, GRID_SLACK, upper=True)
             checks[name].append({"p": p, "lhs": lhs, "rhs": rhs, "ok": ok})
             if not ok:
                 failures.append({"check": name, "p": p, "lhs": lhs, "rhs": rhs})
@@ -199,7 +210,7 @@ def cmd_sobolev(args) -> int:
             "gap": (rep.quotient - rep.bound) / rep.bound,
         })
         base = rep.bound
-        if rep.quotient < rep.bound * (1.0 - GRID_SLACK):
+        if not holds(rep.quotient, rep.bound, GRID_SLACK):
             failures.append({"epsilon": eps, "quotient": rep.quotient, "bound": rep.bound})
     rng = np.random.default_rng(args.seed)
     randoms = []
@@ -208,7 +219,7 @@ def cmd_sobolev(args) -> int:
         grid = field.grid
         rep = sobolev_report(field, args.p)
         randoms.append({"index": k, "quotient": rep.quotient, "margin": rep.margin})
-        if rep.quotient < rep.bound * (1.0 - GRID_SLACK):
+        if not holds(rep.quotient, rep.bound, GRID_SLACK):
             failures.append({"index": k, "quotient": rep.quotient, "bound": rep.bound})
     payload = {
         "p": args.p,
@@ -232,7 +243,8 @@ def cmd_moser(args) -> int:
         rep = moser_report(field)
         # the paper's step to the sharp exponent: int |grad u*|^2 <= 2 int |grad u|^2
         lhs, rhs = check_rearrangement_energy_factor(field, 2.0)
-        ok = rep.identity_gap <= GRID_SLACK and lhs <= rhs * (1.0 + GRID_SLACK)
+        ok = (holds(rep.identity_gap, GRID_SLACK, 0.0, upper=True)
+              and holds(lhs, rhs, GRID_SLACK, upper=True))
         entries.append({
             "index": k,
             "functional": rep.functional,
@@ -252,14 +264,12 @@ def cmd_moser(args) -> int:
 def cmd_counterexample(args) -> int:
     specs = [CounterexampleSpec(a=a, tau0=args.tau0) for a in args.a]
     points = counterexample_blowup(specs)
-    rows = [(p.a, p.energy_deficit, p.functional_lower_bound) for p in points]
-    failures = []
-    for (a1, d1, f1), (a2, d2, f2) in zip(rows, rows[1:]):
-        if not f2 > f1:
-            failures.append({"a": a2, "reason": "lower bound not increasing"})
-    for a, d, f in rows:
-        if not 0.0 < d < 1.0:
-            failures.append({"a": a, "reason": f"energy deficit {d} outside (0,1)"})
+    # the bound must increase in a, whatever order the flags gave the points in
+    ascending = sorted({p.a: p.functional_lower_bound for p in points}.items())
+    failures = [{"a": a, "reason": "lower bound not increasing"}
+                for (_, f1), (a, f2) in zip(ascending, ascending[1:]) if not f2 > f1]
+    failures += [{"a": p.a, "reason": f"energy deficit {p.energy_deficit} outside (0,1)"}
+                 for p in points if not 0.0 < p.energy_deficit < 1.0]
     payload = {
         "tau0": args.tau0,
         "points": [
@@ -277,7 +287,7 @@ def cmd_counterexample(args) -> int:
 def cmd_eig(args) -> int:
     dom = _load_domain(args.domain)
     report = check_frequency_vs_half_ball(dom, args.h)
-    ok = report.margin >= -GRID_SLACK * report.reference
+    ok = holds(report.lam, report.reference, GRID_SLACK)
     payload = {
         "report": report.to_json_dict(),
         "failures": [] if ok else [{"margin": report.margin}],

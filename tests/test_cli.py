@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freebdry.cli import build_parser, main
+from freebdry.cli import build_parser, holds, main
 from freebdry.domains import BUILTIN_NAMES
 
 
@@ -97,6 +97,18 @@ def test_counterexample_sweep(tmp_path):
     assert data["failures"] == []
     lbs = [p["functional_lower_bound"] for p in data["points"]]
     assert all(b > a for a, b in zip(lbs, lbs[1:]))
+
+
+@pytest.mark.parametrize("values", [["100", "10"], ["10", "10"]], ids=["descending", "repeated"])
+def test_counterexample_verdict_does_not_depend_on_the_order_of_the_flags(tmp_path, values):
+    # the bound increases in a, so it is compared in ascending a; the points
+    # keep the order of the flags
+    out = tmp_path / "cx.json"
+    flags = [arg for a in values for arg in ("--a", a)]
+    assert run_cli(["counterexample", *flags, "--quiet", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["failures"] == []
+    assert [p["a"] for p in data["points"]] == [float(a) for a in values]
 
 
 @pytest.mark.parametrize("domain", ["annulus", "annulus-free-inner"])
@@ -398,15 +410,23 @@ def test_negative_seed_exits_2(capsys, argv):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag, argv", [
     ("--epsilon", ["sobolev", "--h", "0.0625", "--random", "0"]),
+    ("--p", ["sobolev", "--h", "0.0625", "--random", "0"]),
     ("--p", ["rearrange", "--h", "0.0625"]),
     ("--a", ["counterexample"]),
     ("--tau0", ["counterexample"]),
-], ids=["sobolev-epsilon", "rearrange-p", "counterexample-a", "counterexample-tau0"])
+], ids=["sobolev-epsilon", "sobolev-p", "rearrange-p", "counterexample-a", "counterexample-tau0"])
 def test_non_finite_experiment_input_exits_3(capsys, flag, argv, value):
     # NaN fails every comparison, so it must fail the guard, not pass it
     assert run_cli([*argv, f"{flag}={value}", "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ") and "Traceback" not in err
+
+
+def test_eigensolver_out_of_steps_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("freebdry.spectral._MAX_ITER", 2)
+    assert run_cli(["eig", "--h", "0.0625", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed: LOBPCG did not converge in 2 steps")
 
 
 @pytest.mark.parametrize("value", ["0", "0.5"])
@@ -502,6 +522,39 @@ _EVERY_SUBCOMMAND = {
     "counterexample": ["counterexample", "--a", "10"],
     "eig": ["eig", "--h", "0.0625"],
 }
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_the_verdict_rule_holds_at_its_threshold_and_fails_nan(upper):
+    bound, slack = 3.0, 0.02
+    threshold = bound * (1.0 + slack) if upper else bound * (1.0 - slack)
+    past = math.nextafter(threshold, math.inf if upper else -math.inf)
+    assert holds(threshold, bound, slack, upper=upper)
+    assert not holds(past, bound, slack, upper=upper)
+    assert not holds(math.nan, bound, slack, upper=upper)
+    assert not holds(threshold, math.nan, slack, upper=upper)
+
+
+# the items each verdict campaign decides, counted from its report
+_VERDICT_ITEMS = {
+    "isoperim": lambda report: len(report["reports"]),
+    "symmetrize": lambda report: report["steps_run"],
+    "rearrange": lambda report: (len(report["checks"]["profile_energy"])
+                                 + len(report["checks"]["energy_factor"])),
+    "sobolev": lambda report: len(report["bubble_ladder"]) + len(report["random_fields"]),
+    "moser": lambda report: len(report["entries"]),
+    "eig": lambda report: 1,
+}
+
+
+@pytest.mark.parametrize("command", _VERDICT_ITEMS)
+def test_every_verdict_goes_through_the_rule(tmp_path, monkeypatch, command):
+    # a rule that never holds fails every item of every verdict campaign
+    monkeypatch.setattr("freebdry.cli.holds", lambda *args, **kwargs: False)
+    out = tmp_path / "report.json"
+    assert run_cli(_EVERY_SUBCOMMAND[command] + ["--quiet", "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert len(report["failures"]) == _VERDICT_ITEMS[command](report) > 0
 
 
 @pytest.mark.parametrize("command", _EVERY_SUBCOMMAND)
@@ -671,6 +724,8 @@ def test_field_campaigns_keep_no_geometry_between_calls(monkeypatch):
     (["sobolev", "--epsilon", "0"], 3),
     (["sobolev", "--epsilon", "0", "--h", "0.5"], 3),
     (["sobolev", "--epsilon", "0.9", "--h", "0.02"], 3),
+    (["sobolev", "--p", "1"], 3),
+    (["sobolev", "--p", "2.5"], 3),
     (["sobolev", "--random", "0", "--h", "0.0625"], 0),
     (["sobolev", "--h", "0.5"], 2),
     (["sobolev", "--h", "0.5", "--random", "0"], 2),

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from freebdry import constants, rearrange, spectral
-from freebdry.cli import EXIT_INEQUALITY, EXIT_OK, GRID_SLACK, main
+from freebdry.cli import EXIT_INEQUALITY, EXIT_OK, GRID_SLACK, holds, main
 from freebdry.domains import half_disk
 from freebdry.quotients import talenti_bubble
 
@@ -83,7 +83,7 @@ def test_energy_factor_fails_a_lowered_factor(monkeypatch, scale, ok):
     bubble = talenti_bubble(half_disk(), 1.0 / 64.0, 1.5, 0.2)
     lhs, rhs = rearrange.check_rearrangement_energy_factor(bubble, 1.5)
     assert rhs == factor(1.5) / scale * rearrange.gradient_lp_norm(bubble, 1.5) ** 1.5
-    assert (lhs <= rhs * (1.0 + GRID_SLACK)) == ok
+    assert holds(lhs, rhs, GRID_SLACK, upper=True) == ok
 
 
 @pytest.mark.parametrize("scale, code", [(0.64, EXIT_INEQUALITY), (0.66, EXIT_OK)])
@@ -96,6 +96,6 @@ def test_moser_fails_a_lowered_energy_factor(tmp_path, monkeypatch, scale, code)
     if code == EXIT_INEQUALITY:
         [failure] = report["failures"]
         assert failure == report["entries"][1]
-        assert failure["energy_lhs"] > failure["energy_rhs"] * (1.0 + GRID_SLACK)
+        assert not holds(failure["energy_lhs"], failure["energy_rhs"], GRID_SLACK, upper=True)
     else:
         assert report["failures"] == []
